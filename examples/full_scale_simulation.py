@@ -4,9 +4,10 @@
 Where ``dense_network_case_study.py`` evaluates the 1600-node network
 through the paper's analytical model, this example *simulates* it packet by
 packet: all sixteen 2450 MHz channels with 100 nodes each, channel-inversion
-link adaptation, 50 superframes per channel — tractable in seconds thanks to
-the vectorized slot-level backend (``repro.mac.vectorized``), and fanned out
-over worker processes with per-channel spawned seeds.
+link adaptation, 50 superframes per channel — tractable in well under a
+second thanks to the batched lockstep backend (``repro.mac.vectorized``),
+which advances all sixteen channels, each with its own spawned seed, in one
+kernel call.
 
 The run goes through the experiment engine (equivalent CLI::
 

@@ -6,7 +6,6 @@ examples and the benchmark harness:
 * :mod:`repro.analysis.tables` — fixed-width ASCII tables;
 * :mod:`repro.analysis.series` — named (x, y) series containers standing in
   for the paper's figures;
-* :mod:`repro.analysis.sweep` — generic parameter-sweep runner;
 * :mod:`repro.analysis.report` — experiment report assembly (paper value vs
   measured value, relative error, pass/fail against a tolerance band);
 * :mod:`repro.analysis.keys` — type-aware value keys (``bool`` never
@@ -16,7 +15,6 @@ examples and the benchmark harness:
 from repro.analysis.keys import typed_key, values_equal
 from repro.analysis.report import ComparisonRow, ExperimentReport
 from repro.analysis.series import Series, SeriesCollection
-from repro.analysis.sweep import ParameterSweep, SweepResult
 from repro.analysis.tables import format_table
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "values_equal",
     "Series",
     "SeriesCollection",
-    "ParameterSweep",
-    "SweepResult",
     "ComparisonRow",
     "ExperimentReport",
 ]

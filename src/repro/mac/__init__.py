@@ -44,7 +44,6 @@ from repro.mac.frames import (
 from repro.mac.gts import GtsDescriptor, GtsManager
 from repro.mac.indirect import IndirectQueue, PendingTransaction
 from repro.mac.superframe import Superframe, SuperframeConfig
-from repro.mac.vectorized import VectorizedChannelSimulator
 
 __all__ = [
     "AssociationService",
@@ -71,5 +70,4 @@ __all__ = [
     "PendingTransaction",
     "Superframe",
     "SuperframeConfig",
-    "VectorizedChannelSimulator",
 ]

@@ -51,10 +51,12 @@ bounded-integer / uniform transformations:
 
 These identities are checked against the running numpy at first use
 (:func:`raw_streams_compatible`); if numpy ever changes its bit-stream
-consumption — or ``REPRO_MAC_COMPAT`` is set — the kernel transparently
-falls back to :func:`_simulate_lane_reference`, the retained per-lane
-scalar implementation, which trades speed for independence from the
-raw-stream identities.
+consumption the kernel refuses to run rather than draw silently different
+variates, and the discrete-event kernel (``backend="event"``) remains
+available.  :func:`_simulate_lane_reference`, the pre-batching per-lane
+scalar implementation drawing from the generators directly, is kept as
+the bit-equality oracle the test suite compares the batched kernel
+against; no runtime path calls it.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -75,7 +77,6 @@ reports ``collisions == 0`` without tracking the medium per device pair.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
@@ -99,9 +100,6 @@ from repro.sim.random import RandomStreams
 _EVENT_CCA_SAMPLE = 0
 _EVENT_TX_END = 1
 
-#: Environment variable forcing the per-lane reference implementation.
-COMPAT_ENV = "REPRO_MAC_COMPAT"
-
 #: ``2**-53`` — the constant numpy's ``next_double`` scales by.
 _U53 = 1.0 / 9007199254740992.0
 
@@ -116,8 +114,10 @@ _raw_compat: Optional[bool] = None
 class ChannelLane:
     """One independent single-channel simulation of a batched run.
 
-    A lane is what :class:`repro.network.scenario.ChannelScenario` hands the
-    single-channel fast path: the channel's nodes, the *resolved* transmit
+    A lane is what :class:`repro.network.scenario.ChannelScenario` hands
+    the kernel for a single-channel run, and what
+    :func:`repro.network.simulate.simulate_network` builds for every
+    (channel, replication) pair: the channel's nodes, the *resolved* transmit
     level per node (link adaptation / default resolution happens in the
     caller) and the master seed of the lane's random streams.  Lanes of one
     batch share the superframe configuration, MAC constants, payload and
@@ -247,8 +247,8 @@ def raw_streams_compatible() -> bool:
     """Whether this numpy's generators match the raw-stream replay.
 
     Evaluated once per process and cached; a mismatch (or any error while
-    probing) routes every batched run through the per-lane reference
-    implementation instead of producing silently different variates.
+    probing) makes every batched run raise instead of producing silently
+    different variates.
     """
     global _raw_compat
     if _raw_compat is None:
@@ -262,12 +262,6 @@ def raw_streams_compatible() -> bool:
         except Exception:  # pragma: no cover - depends on foreign numpy
             _raw_compat = False
     return _raw_compat
-
-
-def _use_batched_path() -> bool:
-    if os.environ.get(COMPAT_ENV):
-        return False
-    return raw_streams_compatible()
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +320,22 @@ class BatchedChannelSimulator:
         Returns one :class:`repro.network.scenario.SimulationSummary` per
         lane, in lane order — bit-for-bit what a single-lane run of each
         lane would produce.
+
+        Raises
+        ------
+        RuntimeError
+            If this numpy's generators fail the raw-stream replay probe
+            (:func:`raw_streams_compatible`); the discrete-event kernel
+            does not depend on the replay and still runs.
         """
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
-        if not _use_batched_path():
-            return [_simulate_lane_reference(
-                        lane, self.config, self.constants,
-                        self.payload_bytes, self.csma_params, self.profile,
-                        self.traffic, superframes)
-                    for lane in self.lanes]
+        if not raw_streams_compatible():
+            raise RuntimeError(
+                f"numpy {np.__version__} changed how its generators consume "
+                "raw bit streams, so the batched kernel's replay no longer "
+                "matches Generator.integers/uniform/random; simulate with "
+                'backend="event" instead')
         return self._run_batched(superframes)
 
     # -- the batched fast path ------------------------------------------------
@@ -1057,66 +1058,8 @@ class BatchedChannelSimulator:
         return summaries
 
 
-class VectorizedChannelSimulator:
-    """Fast uplink simulation of one channel — a single-lane batched run.
-
-    Parameters
-    ----------
-    nodes:
-        The sensor nodes of the channel (``repro.network.node.SensorNode``).
-    config:
-        Superframe configuration (no GTS allocation).
-    tx_levels_dbm:
-        Resolved transmit level per node, aligned with ``nodes``.  The
-        caller (:class:`repro.network.scenario.ChannelScenario`) performs the
-        link-adaptation / default resolution; this backend only rounds to
-        the radio's programmable steps exactly as the event kernel does.
-    constants / payload_bytes / seed / csma_params / profile:
-        As in :class:`repro.network.scenario.ChannelScenario`.
-    traffic:
-        Per-node packet process (:class:`repro.network.traffic.TrafficModel`)
-        polled at every beacon; ``None`` is the paper's saturated
-        assumption.  Sources are built from the same ``traffic[<id>]``
-        streams the event kernel uses, preserving the equivalence contract
-        for every model.
-    tree:
-        Sink tree of a routed channel
-        (:class:`repro.network.routing.SinkTree`); ``None`` is the classic
-        star.
-    """
-
-    def __init__(self, nodes: Sequence, config: SuperframeConfig,
-                 tx_levels_dbm: Sequence[float],
-                 constants: MacConstants = MAC_2450MHZ,
-                 payload_bytes: int = 120, seed: int = 0,
-                 csma_params: Optional[CsmaParameters] = None,
-                 profile: RadioPowerProfile = CC2420_PROFILE,
-                 traffic=None, tree=None):
-        self._batch = BatchedChannelSimulator(
-            [ChannelLane(nodes=nodes, tx_levels_dbm=tx_levels_dbm,
-                         seed=seed, tree=tree)],
-            config=config, constants=constants,
-            payload_bytes=payload_bytes, csma_params=csma_params,
-            profile=profile, traffic=traffic)
-        lane = self._batch.lanes[0]
-        self.nodes = lane.nodes
-        self.config = config
-        self.constants = constants
-        self.payload_bytes = payload_bytes
-        self.seed = seed
-        self.csma_params = self._batch.csma_params
-        self.profile = profile
-        self.tx_levels_dbm = lane.tx_levels_dbm
-        self.traffic = traffic
-        self.tree = tree
-
-    def run(self, superframes: int = 10):
-        """Simulate ``superframes`` beacon intervals; same summary as the kernel."""
-        return self._batch.run(superframes=superframes)[0]
-
-
 # ---------------------------------------------------------------------------
-# per-lane reference implementation (compat fallback)
+# per-lane reference implementation (test oracle)
 # ---------------------------------------------------------------------------
 
 def _simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
@@ -1127,11 +1070,10 @@ def _simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
     """Scalar single-lane kernel drawing from the generators directly.
 
     This is the pre-batching implementation, retained verbatim as the
-    fallback for numpy builds whose bit-stream consumption differs from the
-    identities :func:`raw_streams_compatible` probes (and for explicit
-    ``REPRO_MAC_COMPAT`` opt-outs).  Slower — one Python pass per lane —
-    but equivalent: its variates come from ``Generator`` calls instead of
-    raw-stream replay.
+    bit-equality oracle of the test suite.  Slower — one Python pass per
+    lane — but equivalent: its variates come from ``Generator`` calls
+    instead of raw-stream replay, so it does not depend on the identities
+    :func:`raw_streams_compatible` probes.
     """
     from repro.network.routing import depth_breakdown, make_lane_sources
     from repro.network.scenario import SimulationSummary

@@ -29,8 +29,7 @@ from repro.network.channel_allocation import ChannelAllocator, round_robin_alloc
 from repro.network.node import SensorNode
 from repro.network.scenario import DenseNetworkScenario, ChannelScenario, SimulationSummary
 from repro.network.spec import CASE_STUDY_SPEC, ScenarioSpec, adaptive_tx_levels
-from repro.network.simulate import (ChannelSimTask, aggregate_channel_rows,
-                                    simulate_channel, simulate_network)
+from repro.network.simulate import aggregate_channel_rows, simulate_network
 
 __all__ = [
     "NodePlacement",
@@ -74,8 +73,6 @@ __all__ = [
     "ScenarioSpec",
     "CASE_STUDY_SPEC",
     "adaptive_tx_levels",
-    "ChannelSimTask",
-    "simulate_channel",
     "simulate_network",
     "aggregate_channel_rows",
 ]

@@ -26,8 +26,8 @@ Determinism contract: trees are pure functions of ``(topology, model,
 seed)``.  Link losses are the deterministic (median) evaluations of
 :mod:`repro.network.geometry`, BFS visits nodes in sorted order, and the
 only randomness — min-hop tie-breaking — draws from a dedicated stream, so
-the event and vectorized kernels, and every worker process of the channel
-fan-out, derive bit-identical trees.
+both kernels see the same tree and a fresh process derives a bit-identical
+one.
 
 Layering: this module sits above topology and traffic and below the
 scenario layer.  It imports :mod:`repro.network.topology`,

@@ -10,12 +10,12 @@ its path losses and traffic, and can
   (energy, failure rate, delay).
 
 :meth:`ChannelScenario.run` offers two interchangeable kernels: the
-discrete-event reference (``backend="event"``) and the vectorized slot-level
-fast path (``backend="vectorized"``, :mod:`repro.mac.vectorized`) that makes
-the full 100-nodes-per-channel case study tractable — identical counts for
-the same seed, ≥10× faster.  The 16-channel fan-out lives in
-:mod:`repro.network.simulate`, driven by the declarative specs of
-:mod:`repro.network.spec`.
+discrete-event reference (``backend="event"``) and the batched lockstep
+kernel (``backend="batched"``, :mod:`repro.mac.vectorized`, here with a
+single lane) that makes the full 100-nodes-per-channel case study
+tractable — identical counts for the same seed, ≥10× faster.  The
+16-channel network run lives in :mod:`repro.network.simulate`, driven by
+the declarative specs of :mod:`repro.network.spec`.
 """
 
 from __future__ import annotations
@@ -119,7 +119,14 @@ class ChannelScenario:
     """
 
     #: Simulation backends accepted by :meth:`run`.
-    BACKENDS = ("event", "vectorized", "batched")
+    BACKENDS = ("batched", "event")
+
+    @classmethod
+    def check_backend(cls, backend: str) -> None:
+        """Raise ``ValueError``, listing the choices, for an unknown backend."""
+        if backend not in cls.BACKENDS:
+            raise ValueError(f"Unknown backend {backend!r}; "
+                             f"choose one of {', '.join(cls.BACKENDS)}")
 
     def __init__(self, nodes: List[SensorNode], config: SuperframeConfig,
                  constants: MacConstants = MAC_2450MHZ,
@@ -195,28 +202,24 @@ class ChannelScenario:
         """Simulate ``superframes`` beacon intervals and summarise the outcome.
 
         ``backend`` selects the simulation kernel: ``"event"`` is the
-        discrete-event reference, ``"vectorized"`` the fast path of
-        :mod:`repro.mac.vectorized` (identical counts for the same seed) and
-        ``"batched"`` the same kernel — for a single channel the two are one
-        code path; the batched name matters at the network fan-out level
-        (:func:`repro.network.simulate.simulate_network`), where it collapses
-        all channels into one lockstep call.
+        discrete-event reference and ``"batched"`` the lockstep kernel of
+        :mod:`repro.mac.vectorized` run on this channel as its single lane
+        (identical counts for the same seed).
         """
-        if backend not in self.BACKENDS:
-            raise ValueError(f"Unknown backend {backend!r}; "
-                             f"choose one of {', '.join(self.BACKENDS)}")
+        self.check_backend(backend)
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
         tx_levels = self.resolved_tx_levels_dbm()
-        if backend in ("vectorized", "batched"):
-            from repro.mac.vectorized import VectorizedChannelSimulator
-            simulator = VectorizedChannelSimulator(
-                nodes=self.nodes, config=self.config,
-                tx_levels_dbm=tx_levels, constants=self.constants,
-                payload_bytes=self.payload_bytes, seed=self.seed,
-                csma_params=self.csma_params, traffic=self.traffic,
-                tree=self.tree)
-            return simulator.run(superframes=superframes)
+        if backend == "batched":
+            from repro.mac.vectorized import (BatchedChannelSimulator,
+                                              ChannelLane)
+            lane = ChannelLane(nodes=self.nodes, tx_levels_dbm=tx_levels,
+                               seed=self.seed, tree=self.tree)
+            simulator = BatchedChannelSimulator(
+                [lane], config=self.config, constants=self.constants,
+                payload_bytes=self.payload_bytes,
+                csma_params=self.csma_params, traffic=self.traffic)
+            return simulator.run(superframes=superframes)[0]
         tracer = current_tracer()
         with tracer.span("kernel:event", kind="kernel",
                          devices=len(self.nodes), superframes=superframes):

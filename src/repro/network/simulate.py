@@ -2,33 +2,34 @@
 
 The paper's case study splits 1600 nodes over sixteen RF channels; the
 channels do not interact (separate frequencies, one coordinator each), so a
-full-network simulation is an embarrassingly parallel fan-out of independent
-single-channel simulations.  :func:`simulate_network` describes each channel
-as a picklable :class:`ChannelSimTask` — the spec, the channel number, the
-shared placement seed and a per-channel simulation seed spawned from the
-master seed — and runs them through any :mod:`repro.runner.executor`
-strategy, so ``--jobs N`` parallelism and serial runs produce identical
-results.
+full-network simulation is a set of independent single-channel
+simulations.  :func:`simulate_network` builds the node population once and
+describes every (channel, replication) pair as a
+:class:`repro.mac.vectorized.ChannelLane` — the channel's nodes after link
+adaptation, their resolved transmit levels, its sink tree and its
+simulation seed — and hands the lanes to the selected kernel:
 
-The ``"batched"`` backend replaces the fan-out entirely: every (channel,
-replication) pair becomes a :class:`repro.mac.vectorized.ChannelLane` of one
-:class:`repro.mac.vectorized.BatchedChannelSimulator` call, which advances
-all lanes in lockstep numpy passes.  Lane seeds are exactly the per-channel
-seeds of the task fan-out (replication 0) plus
-:func:`replication_seeds`-spawned children (replications 1+), so batched and
-per-channel runs are bit-identical row for row and adding replications never
-perturbs existing ones.  The executor argument is ignored on this path —
-the batch *is* the parallelism; the task-based backends remain the fallback
-for process-pool distribution of the event kernel.
+* ``"batched"`` runs every lane in one
+  :class:`repro.mac.vectorized.BatchedChannelSimulator` call, which
+  advances all lanes in lockstep numpy passes; the executor argument is
+  ignored, the batch *is* the parallelism;
+* ``"event"`` maps the picklable lanes through any
+  :mod:`repro.runner.executor` strategy, one discrete-event simulation per
+  lane, so ``--jobs N`` and serial runs produce identical rows.
+
+Lane seeds are the per-channel children of the master seed (replication 0)
+plus :func:`replication_seeds`-spawned children (replications 1+), so both
+kernels draw the same variates row for row and adding replications never
+perturbs existing ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.network.scenario import ChannelScenario
 from repro.network.spec import (ScenarioSpec, TX_POLICY_ADAPTIVE,
                                 adaptive_tx_levels)
 from repro.obs.tracer import current_tracer
@@ -56,76 +57,6 @@ def replication_seeds(channel_seed: int, count: int) -> List[int]:
         return [channel_seed]
     return [channel_seed] + spawn_seeds(channel_seed,
                                         REPLICATION_SEED_STREAM, count - 1)
-
-
-@dataclass(frozen=True)
-class ChannelSimTask:
-    """Picklable description of one channel's packet-level simulation.
-
-    ``placement_seed`` drives node placement and path losses and is shared
-    by every task of a network run (all workers must see the same
-    population); ``sim_seed`` drives the channel's packet-level randomness
-    and is unique per (channel, replication).  ``replication`` is ``None``
-    for single-replication runs (no ``"replication"`` row key, preserving
-    historical row shapes and cache artifacts) and the replication index
-    when the run asked for several.
-    """
-
-    spec: ScenarioSpec
-    channel: int
-    placement_seed: int
-    sim_seed: int
-    superframes: int
-    max_nodes: Optional[int] = None
-    backend: Optional[str] = None
-    replication: Optional[int] = None
-
-
-def simulate_channel(task: ChannelSimTask) -> Dict[str, Any]:
-    """Simulate one channel of the spec'd network and summarise it as a dict.
-
-    Module-level (and therefore picklable) so it can serve as the task
-    function of a process-pool executor.  The channel simulation is built
-    directly from the spec's own superframe config, MAC constants and CSMA
-    parameters, so band and SO < BO settings are honoured.
-    """
-    from repro.network.scenario import ChannelScenario
-
-    spec = task.spec
-    tracer = current_tracer()
-    with tracer.span(f"channel[{task.channel}]", kind="lane",
-                     channel=task.channel, replication=task.replication):
-        scenario = spec.build_seeded(task.placement_seed)
-        nodes = scenario.nodes_on_channel(task.channel)
-        tree = scenario.sink_tree(task.channel)
-        if task.max_nodes is not None and len(nodes) > task.max_nodes:
-            if tree is not None:
-                raise ValueError("max_nodes cannot truncate a routed "
-                                 "channel: the sink tree spans the full "
-                                 "population")
-            nodes = nodes[:task.max_nodes]
-        if spec.tx_policy == TX_POLICY_ADAPTIVE:
-            frame_bytes = spec.payload_bytes + _overhead_bytes()
-            levels = adaptive_tx_levels(
-                [node.path_loss_db for node in nodes], frame_bytes,
-                target_packet_error=spec.target_packet_error,
-                error_model=scenario.error_model)
-            for node, level in zip(nodes, levels):
-                node.tx_power_dbm = level
-        channel_scenario = ChannelScenario(
-            nodes=nodes,
-            config=spec.superframe_config(),
-            constants=spec.constants(),
-            payload_bytes=spec.payload_bytes,
-            seed=task.sim_seed,
-            csma_params=spec.csma_parameters(),
-            default_tx_power_dbm=spec.tx_power_dbm,
-            traffic=spec.traffic,
-            tree=tree)
-        backend = task.backend or spec.backend
-        summary = channel_scenario.run(superframes=task.superframes,
-                                       backend=backend)
-    return _summary_row(task.channel, summary, task.replication)
 
 
 def _summary_row(channel: int, summary,
@@ -164,7 +95,7 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
                      max_nodes_per_channel: Optional[int] = None,
                      backend: Optional[str] = None,
                      replications: int = 1) -> List[Dict[str, Any]]:
-    """Simulate every channel of ``spec``, batched or on a process pool.
+    """Simulate every channel of ``spec``, batched or on an executor.
 
     Parameters
     ----------
@@ -180,13 +111,15 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
         unpredictable master seed up front — the run is not reproducible,
         but all channels still share a single node population.
     executor:
-        A :mod:`repro.runner.executor` strategy; ``None`` runs serially.
-        Ignored by the ``"batched"`` backend, whose single lockstep kernel
-        call already advances every (channel, replication) lane at once.
+        A :mod:`repro.runner.executor` strategy for the ``"event"``
+        backend's per-lane tasks; ``None`` runs serially.  Ignored by the
+        ``"batched"`` backend, whose single lockstep kernel call already
+        advances every (channel, replication) lane at once.
     max_nodes_per_channel:
         Truncate each channel's population (scaled-down runs).
     backend:
-        Override the spec's simulation backend.
+        Override the spec's simulation backend (``"batched"`` or
+        ``"event"``).
     replications:
         Monte-Carlo replications per channel.  Replication 0 uses the
         channel's historical seed (so ``replications=1`` reproduces every
@@ -200,37 +133,65 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
         One summary dict per (channel, replication), channel-major, in
         channel then replication order.
     """
-    from repro.runner.executor import run_ordered
+    backend = backend or spec.backend
+    ChannelScenario.check_backend(backend)
+    if seed is None:
+        seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+    if superframes is None:
+        superframes = spec.superframes_hint
+    lanes, tags = _channel_lanes(spec, seed, max_nodes_per_channel,
+                                 replications)
+    if backend == "batched":
+        from repro.mac.vectorized import BatchedChannelSimulator
 
-    resolved_backend = backend or spec.backend
-    if resolved_backend == "batched":
-        return _simulate_network_batched(
-            spec, superframes=superframes, seed=seed,
-            max_nodes_per_channel=max_nodes_per_channel,
-            replications=replications)
-    tasks = build_channel_tasks(spec, superframes=superframes, seed=seed,
-                                max_nodes_per_channel=max_nodes_per_channel,
-                                backend=backend, replications=replications)
-    return run_ordered(executor, simulate_channel, tasks)
+        simulator = BatchedChannelSimulator(
+            lanes, config=spec.superframe_config(),
+            constants=spec.constants(), payload_bytes=spec.payload_bytes,
+            csma_params=spec.csma_parameters(), traffic=spec.traffic)
+        summaries = simulator.run(superframes=superframes)
+    else:
+        from repro.runner.executor import run_ordered
+
+        summaries = run_ordered(
+            executor, _simulate_event_lane,
+            [(spec, superframes, channel, replication, lane)
+             for (channel, replication), lane in zip(tags, lanes)])
+    return [_summary_row(channel, summary, replication)
+            for (channel, replication), summary in zip(tags, summaries)]
 
 
-def _channel_lanes(spec: ScenarioSpec, scenario, seed: int,
+def _channel_scenario(spec: ScenarioSpec, nodes, seed: int,
+                      tree) -> ChannelScenario:
+    """One channel's simulation, configured from the spec."""
+    return ChannelScenario(
+        nodes=nodes,
+        config=spec.superframe_config(),
+        constants=spec.constants(),
+        payload_bytes=spec.payload_bytes,
+        seed=seed,
+        csma_params=spec.csma_parameters(),
+        default_tx_power_dbm=spec.tx_power_dbm,
+        traffic=spec.traffic,
+        tree=tree)
+
+
+def _channel_lanes(spec: ScenarioSpec, seed: int,
                    max_nodes_per_channel: Optional[int],
                    replications: int):
-    """The (channel, replication) lane grid of a batched network run.
+    """The (channel, replication) lane grid of a network run.
 
     Returns ``(lanes, tags)`` where ``tags`` holds the matching
-    ``(channel, replication-or-None)`` row labels.  Node selection, link
-    adaptation and transmit-level resolution replicate
-    :func:`simulate_channel` exactly — every lane of one channel shares the
-    node population and levels; only the lane seed varies.
+    ``(channel, replication-or-None)`` row labels.  Every lane of one
+    channel shares the node population (after truncation and link
+    adaptation) and the resolved transmit levels; only the lane seed
+    varies.
     """
     from repro.mac.vectorized import ChannelLane
-    from repro.network.scenario import ChannelScenario
 
+    scenario = spec.build_seeded(seed)
     channel_seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(spec.channels))
     lanes = []
-    tags = []
+    tags: List[Tuple[int, Optional[int]]] = []
     for channel, channel_seed in zip(spec.channels, channel_seeds):
         nodes = scenario.nodes_on_channel(channel)
         tree = scenario.sink_tree(channel)
@@ -249,17 +210,8 @@ def _channel_lanes(spec: ScenarioSpec, scenario, seed: int,
                 error_model=scenario.error_model)
             for node, level in zip(nodes, levels):
                 node.tx_power_dbm = level
-        channel_scenario = ChannelScenario(
-            nodes=nodes,
-            config=spec.superframe_config(),
-            constants=spec.constants(),
-            payload_bytes=spec.payload_bytes,
-            seed=channel_seed,
-            csma_params=spec.csma_parameters(),
-            default_tx_power_dbm=spec.tx_power_dbm,
-            traffic=spec.traffic,
-            tree=tree)
-        tx_levels = channel_scenario.resolved_tx_levels_dbm()
+        tx_levels = _channel_scenario(spec, nodes, channel_seed,
+                                      tree).resolved_tx_levels_dbm()
         for replication, lane_seed in enumerate(
                 replication_seeds(channel_seed, replications)):
             lanes.append(ChannelLane(nodes=nodes, tx_levels_dbm=tx_levels,
@@ -269,54 +221,19 @@ def _channel_lanes(spec: ScenarioSpec, scenario, seed: int,
     return lanes, tags
 
 
-def _simulate_network_batched(spec: ScenarioSpec,
-                              superframes: Optional[int] = None,
-                              seed: Optional[int] = 0,
-                              max_nodes_per_channel: Optional[int] = None,
-                              replications: int = 1) -> List[Dict[str, Any]]:
-    """One lockstep kernel call covering every (channel, replication)."""
-    from repro.mac.vectorized import BatchedChannelSimulator
+def _simulate_event_lane(task):
+    """Run one lane on the discrete-event kernel.
 
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    if superframes is None:
-        superframes = spec.superframes_hint
-    scenario = spec.build_seeded(seed)
-    lanes, tags = _channel_lanes(spec, scenario, seed,
-                                 max_nodes_per_channel, replications)
-    simulator = BatchedChannelSimulator(
-        lanes, config=spec.superframe_config(), constants=spec.constants(),
-        payload_bytes=spec.payload_bytes,
-        csma_params=spec.csma_parameters(), traffic=spec.traffic)
-    summaries = simulator.run(superframes=superframes)
-    return [_summary_row(channel, summary, replication)
-            for (channel, replication), summary in zip(tags, summaries)]
-
-
-def build_channel_tasks(spec: ScenarioSpec, superframes: Optional[int] = None,
-                        seed: Optional[int] = 0,
-                        max_nodes_per_channel: Optional[int] = None,
-                        backend: Optional[str] = None,
-                        replications: int = 1) -> List[ChannelSimTask]:
-    """The per-(channel, replication) task list of :func:`simulate_network`.
-
-    A ``seed`` of ``None`` is resolved to one concrete (unpredictable)
-    master seed up front — every channel task must still share the same
-    node population.
+    ``task`` is ``(spec, superframes, channel, replication, lane)``.
+    Module-level (and therefore picklable) so it can serve as the task
+    function of a process-pool executor.
     """
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    channels = spec.channels
-    superframes = spec.superframes_hint if superframes is None else superframes
-    seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(channels))
-    return [ChannelSimTask(spec=spec, channel=channel, placement_seed=seed,
-                           sim_seed=lane_seed, superframes=superframes,
-                           max_nodes=max_nodes_per_channel, backend=backend,
-                           replication=(replication if replications > 1
-                                        else None))
-            for channel, channel_seed in zip(channels, seeds)
-            for replication, lane_seed in enumerate(
-                replication_seeds(channel_seed, replications))]
+    spec, superframes, channel, replication, lane = task
+    with current_tracer().span(f"channel[{channel}]", kind="lane",
+                               channel=channel, replication=replication):
+        return _channel_scenario(spec, lane.nodes, lane.seed,
+                                 lane.tree).run(superframes=superframes,
+                                                backend="event")
 
 
 def aggregate_channel_rows(rows: List[Dict[str, Any]]) -> Dict[str, Any]:

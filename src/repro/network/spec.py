@@ -14,9 +14,9 @@ workloads one configuration away:
 >>> spec.csma_parameters().max_csma_backoffs
 2
 
-and it is what the channel fan-out of :mod:`repro.network.simulate` ships to
-worker processes, so a full 16-channel case study is described once and
-simulated anywhere.
+and it is what :mod:`repro.network.simulate` builds every channel's
+simulation from, so a full 16-channel case study is described once and
+simulated on either kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.mac.superframe import SuperframeConfig
 from repro.network.geometry import (lowest_sufficient_levels,
                                     rx_power_threshold_dbm)
 from repro.network.routing import RoutingModel
+from repro.network.scenario import ChannelScenario, DenseNetworkScenario
 from repro.network.topology import TopologyModel
 from repro.network.traffic import (PeriodicSensingTraffic, SaturatedTraffic,
                                    TrafficModel)
@@ -96,10 +97,10 @@ class ScenarioSpec:
     csma_convention:
         ``"paper"`` or ``"standard"`` abort rule.
     backend:
-        Default simulation backend for this workload: ``"event"``
-        (discrete-event reference), ``"vectorized"`` (per-channel fast
-        path) or ``"batched"`` (all channels and replications in one
-        lockstep kernel call — same counts, fastest fan-out).
+        Default simulation backend for this workload: ``"batched"`` (all
+        channels and replications in one lockstep kernel call) or
+        ``"event"`` (the discrete-event reference — same counts, one
+        executor task per channel and replication).
     superframes_hint:
         Suggested simulation length in beacon intervals (drivers and
         examples may override).
@@ -124,7 +125,7 @@ class ScenarioSpec:
     target_packet_error: float = 0.01
     battery_life_extension: bool = False
     csma_convention: str = CSMA_PAPER
-    backend: str = "vectorized"
+    backend: str = "batched"
     superframes_hint: int = 50
 
     def __post_init__(self):
@@ -137,8 +138,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"Unknown csma_convention {self.csma_convention!r}; choose "
                 f"'{CSMA_PAPER}' or '{CSMA_STANDARD}'")
-        if self.backend not in ("event", "vectorized", "batched"):
-            raise ValueError(f"Unknown backend {self.backend!r}")
+        ChannelScenario.check_backend(self.backend)
         if self.superframes_hint < 1:
             raise ValueError("superframes_hint must be at least 1")
         available = CHANNEL_PAGES[self.band].channel_count
@@ -223,9 +223,7 @@ class ScenarioSpec:
         return self.build_seeded(0)
 
     def build_seeded(self, placement_seed: int):
-        """The scenario with an explicit placement seed (fan-out workers)."""
-        from repro.network.scenario import DenseNetworkScenario
-
+        """The scenario with an explicit placement seed."""
         return DenseNetworkScenario(
             total_nodes=self.total_nodes,
             channels=self.channels,

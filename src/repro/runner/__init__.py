@@ -41,8 +41,6 @@ from repro.runner.result import RunResult
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentRegistry",
-    # "ExperimentRun" resolves too (deprecated alias of RunResult via the
-    # module __getattr__ below) but is deliberately not in __all__.
     "ExperimentSpec",
     "NullCache",
     "ParamSchema",
@@ -62,13 +60,3 @@ __all__ = [
     "run_experiment",
     "run_ordered",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shim mirroring repro.runner.engine.__getattr__.
-    if name == "ExperimentRun":
-        from repro._deprecation import warn_deprecated
-        warn_deprecated("repro.runner.ExperimentRun is deprecated; use "
-                        "repro.runner.RunResult", stacklevel=2)
-        return RunResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

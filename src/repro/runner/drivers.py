@@ -28,6 +28,7 @@ from repro.core.energy_model import EnergyModel
 from repro.experiments.common import TABLE_LOADS, TABLE_SIZES
 from repro.mac.frames import total_packet_overhead_bytes
 from repro.network.routing import ROUTING_KINDS
+from repro.network.scenario import ChannelScenario
 from repro.network.topology import TOPOLOGY_KINDS
 from repro.network.traffic import TRAFFIC_MODEL_KINDS
 from repro.runner.cache import code_version
@@ -296,9 +297,9 @@ def run_case_study_full(params: Mapping[str, Any],
     """Section 5 case study simulated at full scale (batched backend).
 
     The default batched backend advances every (channel, replication) lane
-    in one lockstep kernel call; the vectorized and event backends fan the
-    channels out as independent tasks with their own spawned seeds through
-    the context executor.  Per-channel summaries are aggregated NaN-safely
+    in one lockstep kernel call; the event backend fans the lanes out as
+    independent tasks with their own spawned seeds through the context
+    executor.  Per-channel summaries are aggregated NaN-safely
     (channels that delivered nothing are skipped in the delay mean instead
     of poisoning it).
     """
@@ -526,10 +527,10 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="cap on simulated nodes per channel (None: "
                           "uncapped)"),
             ParamSpec("backend", "str", "batched",
-                      choices=("batched", "vectorized", "event"),
-                      doc="simulation kernel: batched lockstep fan-out, "
-                          "per-channel vectorized tasks, or the "
-                          "discrete-event reference"),
+                      choices=ChannelScenario.BACKENDS,
+                      doc="simulation kernel: batched lockstep run of "
+                          "every channel, or the discrete-event reference "
+                          "(one task per channel, fanned out by --jobs)"),
             ParamSpec("replications", "int", 1, minimum=1,
                       doc="Monte-Carlo replications per channel "
                           "(replication 0 reuses the historical channel "

@@ -37,18 +37,6 @@ from repro.contention.tables import PAPER_SEED
 DEFAULT_SEED = PAPER_SEED
 
 
-def __getattr__(name: str):
-    # Deprecation shim: the engine's result class is RunResult since the
-    # repro.api redesign; the old name keeps resolving (to the same class)
-    # with a once-per-call-site DeprecationWarning.
-    if name == "ExperimentRun":
-        from repro._deprecation import warn_deprecated
-        warn_deprecated("repro.runner.engine.ExperimentRun is deprecated; "
-                        "use repro.runner.RunResult", stacklevel=2)
-        return RunResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def resolve_cache(cache: Any = True,
                   cache_root: Optional[str] = None):
     """Normalise the ``cache`` argument of :func:`run_experiment`.

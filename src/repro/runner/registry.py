@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping,
                     Optional, Tuple)
 
-from repro._deprecation import warn_deprecated
 from repro.runner.params import (ParamSchema, ParamSpec,
                                  ParameterValueError, UnknownParameterError)
 
@@ -62,10 +61,6 @@ class ExperimentSpec:
         :class:`repro.runner.params.ParamSpec` (or a ready
         :class:`~repro.runner.params.ParamSchema`).  Every override, CLI
         ``--param`` and sweep axis validates against this schema.
-    default_params:
-        .. deprecated:: 1.1
-            Legacy bare-dict declaration; converted to an inferred-type
-            schema.  Declare ``params=[ParamSpec(...), ...]`` instead.
     output_names:
         Names of the columns of the result rows (documentation; shown by
         ``python -m repro list``).
@@ -85,21 +80,10 @@ class ExperimentSpec:
                                            Dict[str, Any]]] = None,
                  *,
                  params: Optional[Iterable[ParamSpec]] = None,
-                 default_params: Optional[Mapping[str, Any]] = None,
                  output_names: Tuple[str, ...] = (),
                  expected_runtime_s: float = 1.0,
                  supports_jobs: bool = False):
-        if params is not None and default_params is not None:
-            raise ValueError(f"Experiment {name!r}: give either params= "
-                             f"(typed schema) or the legacy default_params=, "
-                             f"not both")
-        if default_params is not None:
-            warn_deprecated(
-                f"ExperimentSpec(default_params=...) is deprecated; declare "
-                f"a typed schema with params=[ParamSpec(...), ...] "
-                f"(experiment {name!r})", stacklevel=2)
-            schema = ParamSchema.untyped(default_params)
-        elif isinstance(params, ParamSchema):
+        if isinstance(params, ParamSchema):
             schema = params
         else:
             schema = ParamSchema(params or ())

@@ -42,7 +42,6 @@ from repro.sim.engine import (
 )
 from repro.sim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
 from repro.sim.random import RandomStreams, spawn_seeds
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -56,6 +55,4 @@ __all__ = [
     "CounterMonitor",
     "RandomStreams",
     "spawn_seeds",
-    "Resource",
-    "Store",
 ]

@@ -140,11 +140,8 @@ class TestBenchCases:
         assert built["experiment"] == "case_study_full"
         assert built["mode"] == "quick"
         assert built["params"]["seed"] == BENCH_SEED
-        assert set(built["timings_s"]) == {"event", "vectorized_reference",
-                                           "vectorized", "batched"}
-        assert set(built["speedup"]) == {"batched_vs_reference",
-                                         "batched_vs_vectorized",
-                                         "batched_vs_event"}
+        assert set(built["timings_s"]) == {"event", "batched"}
+        assert set(built["speedup"]) == {"batched_vs_event"}
         assert all(value > 0 for value in built["speedup"].values())
 
     def test_unknown_case_raises_with_choices(self):

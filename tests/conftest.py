@@ -45,3 +45,33 @@ def case_study_result(energy_model):
 def rng() -> np.random.Generator:
     """A fresh deterministic random generator per test."""
     return np.random.default_rng(987)
+
+
+@pytest.fixture(scope="session")
+def solo_lane_rows():
+    """Network rows with every (channel, replication) lane run alone.
+
+    Returns a function ``(spec, superframes, seed, replications=1) ->
+    rows`` that simulates each lane of
+    :func:`repro.network.simulate.simulate_network` in its own one-lane
+    batched kernel call — the per-channel result a multi-lane batched run
+    must reproduce row for row.
+    """
+    from repro.mac.vectorized import BatchedChannelSimulator
+    from repro.network.simulate import _channel_lanes, _summary_row
+
+    def rows(spec, superframes, seed, replications=1):
+        lanes, tags = _channel_lanes(spec, seed, None, replications)
+        out = []
+        for (channel, replication), lane in zip(tags, lanes):
+            simulator = BatchedChannelSimulator(
+                [lane], config=spec.superframe_config(),
+                constants=spec.constants(),
+                payload_bytes=spec.payload_bytes,
+                csma_params=spec.csma_parameters(), traffic=spec.traffic)
+            out.append(_summary_row(channel,
+                                    simulator.run(superframes=superframes)[0],
+                                    replication))
+        return out
+
+    return rows

@@ -43,8 +43,8 @@ GOLDEN_FAILURE = 0.17373890985756943
 GOLDEN_TRANSITION_SAVING = 0.09696288749558613
 GOLDEN_RX_SAVING = 0.14179210454151625
 
-#: Golden values of the scaled full-scale simulation (vectorized backend,
-#: per-channel fan-out) — exact integer counts pin both MAC kernels.
+#: Golden values of the scaled full-scale simulation (default batched
+#: backend) — exact integer counts pin both MAC kernels.
 SIM_PARAMS = {"total_nodes": 60, "num_channels": 3, "superframes": 8,
               "beacon_order": 3, "nodes_per_channel_cap": 10}
 SIM_SEED = 11
@@ -199,7 +199,7 @@ class TestEngineCacheBackedReplay:
 class TestFullScaleSimulationGolden:
     """Golden pins on the packet-level simulator (both-kernel guard).
 
-    Exact integer counts of a scaled vectorized fan-out: any change to MAC
+    Exact integer counts of a scaled network run: any change to MAC
     timing, CSMA draws, traffic polling or the medium model shifts these
     and fails with the paper's full-scale context named.
     """
@@ -232,7 +232,7 @@ class TestFullScaleSimulationGolden:
 
     def test_event_kernel_reproduces_the_golden_counts(self):
         """The pins hold for the reference kernel too, not just the
-        vectorized fast path."""
+        batched fast path."""
         run = run_experiment("case_study_full",
                              params=dict(SIM_PARAMS, backend="event"),
                              cache=False, seed=SIM_SEED)
@@ -244,9 +244,9 @@ class TestFullScaleSimulationGolden:
              GOLDEN_SIM_ACCESS_FAILURES)
 
     def test_batched_kernel_reproduces_the_golden_counts(self):
-        """The batched lockstep backend is the third kernel bound to the
-        same pins: one batch call must draw the exact variates the
-        per-channel fan-out draws."""
+        """The batched lockstep backend is bound to the same pins: one
+        batch call must draw the exact variates the per-channel event
+        runs draw."""
         run = run_experiment("case_study_full",
                              params=dict(SIM_PARAMS, backend="batched"),
                              cache=False, seed=SIM_SEED)
@@ -260,7 +260,7 @@ class TestFullScaleSimulationGolden:
             f"(attempted, delivered, access failures) {observed} != "
             f"({GOLDEN_SIM_ATTEMPTED}, {GOLDEN_SIM_DELIVERED}, "
             f"{GOLDEN_SIM_ACCESS_FAILURES}) — the batched kernel no longer "
-            f"matches the event and vectorized kernels.")
+            f"matches the event kernel.")
 
     def test_batched_kernel_reproduces_the_golden_power(self):
         run = run_experiment("case_study_full",
@@ -345,7 +345,7 @@ class TestStarProjectionGolden:
         from repro.network.topology import StarTopologyModel
 
         base = dict(total_nodes=12, num_channels=2, beacon_order=3)
-        for backend in ("vectorized", "batched", "event"):
+        for backend in ("batched", "event"):
             plain = simulate_network(ScenarioSpec(**base), superframes=4,
                                      seed=3, backend=backend)
             starred = simulate_network(
@@ -362,18 +362,54 @@ class TestMultiHopEnergyHoleGolden:
 
     A 2-hop gradient tree over the 24-node grid concentrates forwarding
     on the eight first-ring relays; their pinned average power must stay
-    ~1.7x the outer leaves'.  All three kernels are bound to the pins, so
-    any drift in tree construction, stream replay or forwarding-source
-    draining fails here by kernel name.
+    ~1.7x the outer leaves'.  Both kernels and the per-lane test oracle
+    are bound to the pins, so any drift in tree construction, stream
+    replay or forwarding-source draining fails here by kernel name.
     """
 
-    @pytest.fixture(scope="class", params=["batched", "vectorized", "event"])
+    @pytest.fixture(scope="class", params=["batched", "event", "reference"])
     def multihop(self, request):
+        if request.param == "reference":
+            return request.param, self.reference_aggregate()
         run = run_experiment(
             "case_study_full",
             params=dict(MULTIHOP_PARAMS, backend=request.param),
             cache=False, seed=MULTIHOP_SEED)
         return request.param, run.payload["aggregate"]
+
+    @staticmethod
+    def reference_aggregate():
+        """The pinned run replayed lane by lane on the test-only per-lane
+        oracle, ``_simulate_lane_reference``."""
+        from repro.mac.vectorized import _simulate_lane_reference
+        from repro.network.routing import build_routing_model
+        from repro.network.simulate import (_channel_lanes, _summary_row,
+                                            aggregate_channel_rows)
+        from repro.network.spec import ScenarioSpec
+        from repro.network.topology import build_topology_model
+        from repro.network.traffic import build_traffic_model
+        from repro.radio.power_profile import CC2420_PROFILE
+
+        params = MULTIHOP_PARAMS
+        spec = ScenarioSpec(
+            name="case_study_full", total_nodes=params["total_nodes"],
+            num_channels=params["num_channels"], beacon_order=6,
+            payload_bytes=120,
+            traffic=build_traffic_model(
+                params["traffic_model"], payload_bytes=120,
+                rate_scale=params["traffic_rate_scale"]),
+            topology=build_topology_model(params["topology"]),
+            routing=build_routing_model("gradient",
+                                        max_hops=params["max_hops"]),
+            tx_policy="adaptive")
+        lanes, tags = _channel_lanes(spec, MULTIHOP_SEED, None, 1)
+        rows = [_summary_row(channel, _simulate_lane_reference(
+                    lane, spec.superframe_config(), spec.constants(),
+                    spec.payload_bytes, spec.csma_parameters(),
+                    CC2420_PROFILE, spec.traffic, params["superframes"]),
+                    replication)
+                for (channel, replication), lane in zip(tags, lanes)]
+        return aggregate_channel_rows(rows)
 
     def test_packet_counts_golden_pin(self, multihop):
         backend, aggregate = multihop

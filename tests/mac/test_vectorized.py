@@ -1,12 +1,14 @@
-"""Cross-validation of the vectorized fast path against the event kernel.
+"""Cross-validation of the batched kernel against the event kernel.
 
-The vectorized backend promises *identical* delivery / failure / attempt
+The batched backend promises *identical* delivery / failure / attempt
 counts for the same scenario and master seed (it consumes the same named
 random streams in the same order), and float-precision agreement on powers,
 delays and the per-phase energy split.  These tests pin that contract on
 scenarios exercising the interesting regimes: light load (everything
 delivered), heavy load (busy CCAs, channel access failures, retries) and
-the full 100-node case-study channel.
+the full 100-node case-study channel.  The retained per-lane reference
+kernel, ``_simulate_lane_reference``, is the bit-equality oracle of the
+horizon-cut regimes the event kernel cannot pin exactly.
 """
 
 import math
@@ -17,18 +19,30 @@ import pytest
 from repro.mac.csma import CsmaParameters
 from repro.mac.superframe import SuperframeConfig
 from repro.mac.vectorized import (BatchedChannelSimulator, ChannelLane,
-                                  VectorizedChannelSimulator)
+                                  _simulate_lane_reference)
 from repro.network.node import SensorNode
 from repro.network.scenario import ChannelScenario, DenseNetworkScenario
 from repro.network.simulate import simulate_network
 from repro.network.spec import ScenarioSpec
 from repro.network.traffic import build_traffic_model
+from repro.radio.power_profile import CC2420_PROFILE
 
 
 def run_both(channel_scenario, superframes):
     event = channel_scenario.run(superframes=superframes, backend="event")
-    fast = channel_scenario.run(superframes=superframes, backend="vectorized")
+    fast = channel_scenario.run(superframes=superframes, backend="batched")
     return event, fast
+
+
+def run_reference(channel_scenario, superframes):
+    """Simulate ``channel_scenario`` on the per-lane reference kernel."""
+    lane = ChannelLane(nodes=channel_scenario.nodes,
+                       tx_levels_dbm=channel_scenario.resolved_tx_levels_dbm(),
+                       seed=channel_scenario.seed, tree=channel_scenario.tree)
+    return _simulate_lane_reference(
+        lane, channel_scenario.config, channel_scenario.constants,
+        channel_scenario.payload_bytes, channel_scenario.csma_params,
+        CC2420_PROFILE, channel_scenario.traffic, superframes)
 
 
 def assert_summaries_match(event, fast):
@@ -181,16 +195,32 @@ class TestVectorizedProperties:
     def test_superframes_must_be_positive(self):
         nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        simulator = VectorizedChannelSimulator(nodes, config,
-                                               tx_levels_dbm=[0.0])
+        simulator = BatchedChannelSimulator(
+            [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0], seed=0)], config)
         with pytest.raises(ValueError):
             simulator.run(superframes=0)
+
+    def test_channel_scenario_runs_a_one_lane_batch(self):
+        """``backend="batched"`` on a single channel is exactly a one-lane
+        batch of that channel's nodes, resolved levels and seed."""
+        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=72.0,
+                            tx_power_dbm=0.0) for i in range(1, 7)]
+        config = SuperframeConfig(beacon_order=3, superframe_order=3)
+        channel = ChannelScenario(nodes, config, payload_bytes=80, seed=12)
+        lane = ChannelLane(nodes=nodes,
+                           tx_levels_dbm=channel.resolved_tx_levels_dbm(),
+                           seed=12)
+        batch = BatchedChannelSimulator([lane], config, payload_bytes=80)
+        assert_summaries_match(channel.run(superframes=5, backend="batched"),
+                               batch.run(superframes=5)[0])
 
     def test_tx_levels_must_align_with_nodes(self):
         nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
         with pytest.raises(ValueError):
-            VectorizedChannelSimulator(nodes, config, tx_levels_dbm=[0.0, 0.0])
+            BatchedChannelSimulator(
+                [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0, 0.0], seed=0)],
+                config)
 
     def test_zero_delivery_channel_reports_none_delay(self):
         """Out-of-range nodes deliver nothing; the delay must be None."""
@@ -209,9 +239,9 @@ class TestBatchedNetworkEquivalenceMatrix:
     """Same-seed equivalence matrix of the batched lockstep backend.
 
     One :class:`BatchedChannelSimulator` call spans every (channel,
-    replication) lane of a network run; it must reproduce the per-channel
-    kernels *row for row* — identical integer counts, float-precision
-    powers, delays and energy splits.  The matrix pins that contract over
+    replication) lane of a network run; it must reproduce the event kernel
+    and each lane's solo run *row for row* — identical integer counts,
+    float-precision powers, delays and energy splits.  The matrix pins that contract over
     every registered traffic model, both superframe structures
     (full-active and duty-cycled SO < BO) and the 1 / 3 / 16 channel
     fan-outs the case study scales across.
@@ -249,7 +279,8 @@ class TestBatchedNetworkEquivalenceMatrix:
     @pytest.mark.parametrize("beacon_order,superframe_order", STRUCTURES)
     @pytest.mark.parametrize("model", MODELS)
     def test_batched_matches_per_channel_kernels(self, model, beacon_order,
-                                                 superframe_order, channels):
+                                                 superframe_order, channels,
+                                                 solo_lane_rows):
         spec = ScenarioSpec(total_nodes=3 * channels, num_channels=channels,
                             beacon_order=beacon_order,
                             superframe_order=superframe_order,
@@ -261,13 +292,13 @@ class TestBatchedNetworkEquivalenceMatrix:
                                     backend=backend)
 
         event = run("event")
-        vectorized = run("vectorized")
+        solo = solo_lane_rows(spec, superframes=4, seed=5)
         batched = run("batched")
         config = f"{model}/BO{beacon_order}SO{superframe_order}/{channels}ch"
-        self.assert_rows_match(vectorized, event,
-                               f"vectorized vs event ({config})")
-        self.assert_rows_match(batched, vectorized,
-                               f"batched vs vectorized ({config})")
+        self.assert_rows_match(solo, event,
+                               f"solo lanes vs event ({config})")
+        self.assert_rows_match(batched, solo,
+                               f"batched vs solo lanes ({config})")
 
 
 class TestBatchedLaneIndependence:
@@ -331,12 +362,11 @@ class TestBatchedLaneIndependence:
 class TestCompatReferencePath:
     """The retained pre-batching reference kernel stays bit-equivalent.
 
-    ``REPRO_MAC_COMPAT`` (or a numpy whose raw streams fail the replay
-    probe) routes every lockstep run through the per-lane scalar reference
-    implementation — the kernel the batched fast path's speedup is
-    measured against.  It must keep producing the exact counts and
-    float-identical energies of the fast path across the same regimes the
-    cross-validation suite pins.
+    ``_simulate_lane_reference`` is the per-lane scalar implementation that
+    draws from the generators directly instead of replaying raw streams —
+    the test oracle of the batched kernel.  It must keep producing the
+    exact counts and float-identical energies of the fast path across the
+    same regimes the cross-validation suite pins.
     """
 
     SCENARIOS = {
@@ -367,28 +397,96 @@ class TestCompatReferencePath:
                                csma_params=params, traffic=model)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_reference_kernel_matches_the_fast_path(self, scenario,
-                                                    monkeypatch):
+    def test_reference_kernel_matches_the_fast_path(self, scenario):
         settings = self.SCENARIOS[scenario]
         fast = self.build_channel(**settings).run(superframes=8,
-                                                  backend="vectorized")
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.build_channel(**settings).run(superframes=8,
-                                                       backend="vectorized")
+                                                  backend="batched")
+        reference = run_reference(self.build_channel(**settings),
+                                  superframes=8)
         assert_summaries_match(fast, reference)
 
-    def test_probe_failure_routes_to_the_reference_kernel(self, monkeypatch):
-        """A numpy whose raw streams do not replay bit-for-bit must fall
-        back to the reference kernel rather than drift silently."""
+    def test_probe_failure_raises_and_names_the_event_backend(
+            self, monkeypatch):
+        """A numpy whose raw streams do not replay bit-for-bit must stop
+        the batched kernel rather than drift silently; the event kernel
+        does not depend on the replay and still runs."""
         import repro.mac.vectorized as vectorized
 
         monkeypatch.setattr(vectorized, "_raw_compat", False)
-        fallback = self.build_channel(**self.SCENARIOS["heavy-load"]).run(
-            superframes=4, backend="vectorized")
-        monkeypatch.setattr(vectorized, "_raw_compat", True)
-        fast = self.build_channel(**self.SCENARIOS["heavy-load"]).run(
-            superframes=4, backend="vectorized")
-        assert_summaries_match(fast, fallback)
+        channel = self.build_channel(**self.SCENARIOS["heavy-load"])
+        with pytest.raises(RuntimeError, match='backend="event"'):
+            channel.run(superframes=4, backend="batched")
+        assert channel.run(superframes=4, backend="event").packets_attempted
+
+    def test_probe_failure_message_names_the_mismatch(self, monkeypatch):
+        """The error says *what* failed — this numpy's raw-stream replay —
+        so the user knows why the fast kernel refused to run."""
+        import repro.mac.vectorized as vectorized
+
+        monkeypatch.setattr(vectorized, "_raw_compat", False)
+        channel = self.build_channel(**self.SCENARIOS["lossy-links"])
+        with pytest.raises(RuntimeError) as raised:
+            channel.run(superframes=2, backend="batched")
+        message = str(raised.value)
+        assert f"numpy {np.__version__}" in message
+        assert "raw bit streams" in message
+
+    def test_probe_failure_stops_network_runs_too(self, monkeypatch):
+        """The network fan-out has no silent fallback either: a batched
+        network run raises, an event network run still completes."""
+        import repro.mac.vectorized as vectorized
+
+        monkeypatch.setattr(vectorized, "_raw_compat", False)
+        spec = ScenarioSpec(total_nodes=6, num_channels=2, beacon_order=3)
+        with pytest.raises(RuntimeError, match='backend="event"'):
+            simulate_network(spec, superframes=2, seed=1, backend="batched")
+        rows = simulate_network(spec, superframes=2, seed=1, backend="event")
+        assert [row["channel"] for row in rows] == spec.channels
+
+    @pytest.mark.parametrize("model", ["saturated", "periodic", "poisson",
+                                       "bursty", "mixed"])
+    def test_reference_kernel_matches_every_traffic_model(self, model):
+        """The oracle replays every registered traffic model's
+        ``traffic[<id>]`` streams exactly as the fast path does."""
+        settings = dict(path_loss_db=70.0, beacon_order=3,
+                        superframe_order=3, node_count=10, traffic=model)
+        fast = self.build_channel(**settings).run(superframes=6,
+                                                  backend="batched")
+        reference = run_reference(self.build_channel(**settings),
+                                  superframes=6)
+        assert_summaries_match(fast, reference)
+
+    def test_reference_kernel_matches_routed_lanes(self):
+        """Relays' forwarding-augmented traffic and the per-hop-depth
+        breakdown agree between the oracle and one multi-lane batch."""
+        from repro.network.routing import GradientRouting
+        from repro.network.simulate import _channel_lanes
+        from repro.network.topology import GridTopologyModel
+
+        spec = ScenarioSpec(total_nodes=24, num_channels=1, beacon_order=3,
+                            topology=GridTopologyModel(),
+                            routing=GradientRouting(max_hops=2))
+        lanes, _ = _channel_lanes(spec, 7, None, replications=2)
+        batched = BatchedChannelSimulator(
+            lanes, config=spec.superframe_config(),
+            constants=spec.constants(), payload_bytes=spec.payload_bytes,
+            csma_params=spec.csma_parameters(),
+            traffic=spec.traffic).run(superframes=4)
+        for lane, fast in zip(lanes, batched):
+            reference = _simulate_lane_reference(
+                lane, spec.superframe_config(), spec.constants(),
+                spec.payload_bytes, spec.csma_parameters(), CC2420_PROFILE,
+                spec.traffic, 4)
+            assert_summaries_match(fast, reference)
+            assert sorted(reference.by_depth) == [1, 2]
+            for depth, bucket in reference.by_depth.items():
+                fast_bucket = fast.by_depth[depth]
+                assert fast_bucket["packets_attempted"] == \
+                    bucket["packets_attempted"]
+                assert fast_bucket["packets_delivered"] == \
+                    bucket["packets_delivered"]
+                assert fast_bucket["mean_power_uw"] == pytest.approx(
+                    bucket["mean_power_uw"], rel=1e-9)
 
     def test_probe_detects_mismatched_integer_streams(self):
         from repro.mac.vectorized import _probe_matches
@@ -427,7 +525,7 @@ class TestCompatReferencePath:
 
 
 class TestTrendsAtScale:
-    """The vectorized backend must reproduce the analytical model's trends
+    """The batched backend must reproduce the analytical model's trends
     when the channel is scaled from validation size to the paper's 100
     nodes — failure probability grows with load, power stays in the
     sub-milliwatt regime the model predicts."""
@@ -438,7 +536,7 @@ class TestTrendsAtScale:
         for nodes in (20, 100):
             scenario = DenseNetworkScenario(seed=1)
             channel = scenario.channel_scenario(11, max_nodes=nodes, seed=6)
-            out[nodes] = channel.run(superframes=12, backend="vectorized")
+            out[nodes] = channel.run(superframes=12, backend="batched")
         return out
 
     def test_failure_probability_grows_with_population(self, summaries):
@@ -534,11 +632,13 @@ class TestHorizonCutRegimes:
         return ChannelScenario(nodes, config, payload_bytes=100, seed=seed,
                                csma_params=params)
 
-    def run_scenario(self, settings, backend="vectorized"):
+    def run_scenario(self, settings, backend="batched"):
         settings = dict(settings)
         superframes = settings.pop("superframes")
-        return self.build_channel(**settings).run(superframes=superframes,
-                                                  backend=backend)
+        channel = self.build_channel(**settings)
+        if backend == "reference":
+            return run_reference(channel, superframes=superframes)
+        return channel.run(superframes=superframes, backend=backend)
 
     @staticmethod
     def assert_counts_match(expected, actual, context):
@@ -549,17 +649,15 @@ class TestHorizonCutRegimes:
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_reference_kernel_matches_across_the_horizon_cut(
-            self, scenario, monkeypatch):
+            self, scenario):
         settings = self.SCENARIOS[scenario]
         fast = self.run_scenario(settings)
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.run_scenario(settings)
+        reference = self.run_scenario(settings, backend="reference")
         assert_summaries_match(reference, fast)
 
-    def test_zero_backoff_counts_match_the_reference(self, monkeypatch):
+    def test_zero_backoff_counts_match_the_reference(self):
         fast = self.run_scenario(self.ZERO_BACKOFF)
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.run_scenario(self.ZERO_BACKOFF)
+        reference = self.run_scenario(self.ZERO_BACKOFF, backend="reference")
         self.assert_counts_match(
             reference, fast,
             "between the fast and reference kernels at BE=0")

@@ -1,9 +1,9 @@
-"""Seed spawning and replication semantics of the network fan-out.
+"""Seed spawning and replication semantics of the network run.
 
 The batched backend's equivalence contract rests on the seed plumbing:
-every (channel, replication) lane must receive exactly the seed the
-per-channel task fan-out would have used, whatever the batch shape, and
-raising the replication count must extend — never perturb — the existing
+every (channel, replication) lane must receive exactly the seed a solo
+run of that channel would use, whatever the batch shape, and raising the
+replication count must extend — never perturb — the existing
 replications.  The property tests pin those invariants over arbitrary
 seeds; the run-level tests check the row shapes the backends report.
 """
@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.simulate import replication_seeds, simulate_network
-from repro.network.spec import ScenarioSpec
+from repro.network.simulate import (CHANNEL_SEED_STREAM, _channel_lanes,
+                                    replication_seeds, simulate_network)
+from repro.network.spec import ScenarioSpec, adaptive_tx_levels
+from repro.network.traffic import build_traffic_model
+from repro.runner.executor import ProcessExecutor
+from repro.sim.random import spawn_seeds
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -75,7 +79,7 @@ def assert_rows_equal(rows, reference):
 
 class TestReplicatedNetworkRuns:
     def test_single_replication_rows_have_no_replication_key(self):
-        for backend in ("vectorized", "batched"):
+        for backend in ("batched", "event"):
             rows = simulate_network(tiny_spec(), superframes=3, seed=4,
                                     backend=backend)
             assert all("replication" not in row for row in rows), backend
@@ -87,13 +91,13 @@ class TestReplicatedNetworkRuns:
         channels = [row["channel"] for row in rows]
         assert channels == sorted(channels)
 
-    def test_batched_and_per_channel_replications_identical(self):
+    def test_batched_and_per_channel_replications_identical(
+            self, solo_lane_rows):
         """The batch *is* the fan-out: same rows, same order, same seeds."""
         spec = tiny_spec()
         batched = simulate_network(spec, superframes=3, seed=4,
                                    backend="batched", replications=3)
-        fanout = simulate_network(spec, superframes=3, seed=4,
-                                  backend="vectorized", replications=3)
+        fanout = solo_lane_rows(spec, superframes=3, seed=4, replications=3)
         assert_rows_equal(batched, fanout)
 
     def test_replication_zero_reproduces_the_unreplicated_run(self):
@@ -134,7 +138,7 @@ def routed_spec(max_hops=2, **overrides):
 class TestMultiHopRows:
     def test_star_rows_have_no_by_depth_key(self):
         """The star path must stay byte-identical: no new row key."""
-        for backend in ("vectorized", "batched", "event"):
+        for backend in ("batched", "event"):
             rows = simulate_network(tiny_spec(), superframes=3, seed=4,
                                     backend=backend)
             assert all("by_depth" not in row for row in rows), backend
@@ -151,13 +155,13 @@ class TestMultiHopRows:
                 pytest.approx(row["mean_power_uw"])
 
     def test_backends_agree_on_routed_channels(self):
-        """Multi-hop forwarding preserves the three-kernel equivalence:
+        """Multi-hop forwarding preserves the kernel equivalence:
         identical counts, power to float-summation noise."""
         spec = routed_spec(max_hops=2, total_nodes=24, num_channels=1)
         results = {backend: simulate_network(spec, superframes=4, seed=7,
                                              backend=backend)
-                   for backend in ("vectorized", "batched", "event")}
-        reference = results["vectorized"]
+                   for backend in ("batched", "event")}
+        reference = results["batched"]
         for backend, rows in results.items():
             for row, ref in zip(rows, reference):
                 assert row["packets_attempted"] == ref["packets_attempted"]
@@ -178,7 +182,7 @@ class TestMultiHopRows:
     def test_max_nodes_cannot_truncate_a_routed_channel(self):
         with pytest.raises(ValueError, match="truncate a routed channel"):
             simulate_network(routed_spec(), superframes=3, seed=4,
-                             backend="vectorized", max_nodes_per_channel=3)
+                             backend="batched", max_nodes_per_channel=3)
 
     def test_replications_extend_routed_runs_too(self):
         spec = routed_spec()
@@ -191,6 +195,126 @@ class TestMultiHopRows:
         for row in rep_zero:
             row.pop("replication")
         assert_rows_equal(rep_zero, plain)
+
+
+class TestEventLaneFanOut:
+    def test_process_pool_rows_equal_serial_rows(self):
+        """Routed, Poisson-traffic, replicated lanes pickle across a
+        process boundary and still reproduce the serial rows exactly."""
+        spec = routed_spec(traffic=build_traffic_model("poisson",
+                                                       payload_bytes=120))
+        serial = simulate_network(spec, superframes=3, seed=4,
+                                  backend="event", replications=2)
+        parallel = simulate_network(spec, superframes=3, seed=4,
+                                    backend="event", replications=2,
+                                    executor=ProcessExecutor(jobs=2))
+        assert [row["replication"] for row in serial] == [0, 1] * 2
+        assert all("by_depth" in row for row in serial)
+        assert serial == parallel
+
+    def test_each_event_lane_runs_under_its_channel_span(self):
+        from repro.obs.tracer import Tracer, activate
+
+        spec = tiny_spec()
+        tracer = Tracer()
+        with activate(tracer):
+            simulate_network(spec, superframes=2, seed=4, backend="event",
+                             replications=2)
+        lanes = [(span.name, span.attrs["replication"])
+                 for span in tracer.spans if span.kind == "lane"]
+        assert lanes == [(f"channel[{channel}]", replication)
+                         for channel in spec.channels
+                         for replication in (0, 1)]
+
+    def test_batched_backend_ignores_the_executor(self):
+        """One lockstep call already advances every lane; an executor
+        must neither change the rows nor be required."""
+        spec = tiny_spec()
+        serial = simulate_network(spec, superframes=3, seed=4,
+                                  backend="batched")
+        with_pool = simulate_network(spec, superframes=3, seed=4,
+                                     backend="batched",
+                                     executor=ProcessExecutor(jobs=2))
+        assert with_pool == serial
+
+
+class TestChannelLanes:
+    """The one lane builder both kernels share: node selection, link
+    adaptation and seeding happen here exactly once per run."""
+
+    def test_lane_grid_is_channel_major(self):
+        spec = tiny_spec()
+        lanes, tags = _channel_lanes(spec, 4, None, replications=3)
+        assert len(lanes) == len(tags) == 2 * 3
+        assert tags == [(channel, replication) for channel in spec.channels
+                        for replication in range(3)]
+
+    def test_single_replication_tags_carry_no_index(self):
+        spec = tiny_spec()
+        _, tags = _channel_lanes(spec, 4, None, replications=1)
+        assert tags == [(channel, None) for channel in spec.channels]
+
+    def test_lanes_of_one_channel_share_population_and_levels(self):
+        lanes, _ = _channel_lanes(tiny_spec(), 4, None, replications=3)
+        for first, *others in (lanes[:3], lanes[3:]):
+            for other in others:
+                assert other.nodes is first.nodes
+                assert other.tx_levels_dbm == first.tx_levels_dbm
+                assert other.seed != first.seed
+
+    def test_lane_seeds_are_spawned_from_the_master_seed(self):
+        spec = tiny_spec()
+        lanes, _ = _channel_lanes(spec, 4, None, replications=2)
+        channel_seeds = spawn_seeds(4, CHANNEL_SEED_STREAM,
+                                    len(spec.channels))
+        expected = [seed for channel_seed in channel_seeds
+                    for seed in replication_seeds(channel_seed, 2)]
+        assert [lane.seed for lane in lanes] == expected
+
+    def test_lane_nodes_belong_to_their_channel(self):
+        spec = tiny_spec(total_nodes=12)
+        lanes, tags = _channel_lanes(spec, 4, None, replications=1)
+        assert sum(len(lane.nodes) for lane in lanes) == 12
+        for (channel, _), lane in zip(tags, lanes):
+            assert {node.channel for node in lane.nodes} == {channel}
+
+    def test_truncation_caps_every_channel(self):
+        lanes, _ = _channel_lanes(tiny_spec(total_nodes=12), 4, 2,
+                                  replications=2)
+        assert [len(lane.nodes) for lane in lanes] == [2] * 4
+        assert all(len(lane.tx_levels_dbm) == 2 for lane in lanes)
+
+    def test_adaptive_levels_are_channel_inversion_levels(self):
+        from repro.mac.frames import total_packet_overhead_bytes
+
+        spec = tiny_spec(total_nodes=12)
+        lanes, _ = _channel_lanes(spec, 4, None, replications=1)
+        error_model = spec.build_seeded(4).error_model
+        for lane in lanes:
+            assert lane.tx_levels_dbm == adaptive_tx_levels(
+                [node.path_loss_db for node in lane.nodes],
+                spec.payload_bytes + total_packet_overhead_bytes(),
+                target_packet_error=spec.target_packet_error,
+                error_model=error_model)
+
+    def test_fixed_policy_levels_are_the_spec_power(self):
+        spec = tiny_spec(tx_policy="fixed", tx_power_dbm=-5.0)
+        lanes, _ = _channel_lanes(spec, 4, None, replications=1)
+        for lane in lanes:
+            assert lane.tx_levels_dbm == [-5.0] * len(lane.nodes)
+
+    def test_star_lanes_have_no_tree(self):
+        lanes, _ = _channel_lanes(tiny_spec(), 4, None, replications=2)
+        assert all(lane.tree is None for lane in lanes)
+
+    def test_routed_lanes_carry_their_channels_tree(self):
+        lanes, tags = _channel_lanes(routed_spec(), 4, None, replications=2)
+        for (channel, _), lane in zip(tags, lanes):
+            assert lane.tree is not None
+            assert set(lane.tree.depth) == {node.node_id
+                                            for node in lane.nodes}
+        assert lanes[0].tree is lanes[1].tree
+        assert lanes[0].tree is not lanes[2].tree
 
 
 class TestDepthAggregation:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.network.simulate import (ChannelSimTask, aggregate_channel_rows,
-                                    simulate_channel, simulate_network)
+from repro.mac.superframe import SuperframeConfig
+from repro.network.node import SensorNode
+from repro.network.scenario import ChannelScenario
+from repro.network.simulate import aggregate_channel_rows, simulate_network
 from repro.network.spec import (CASE_STUDY_SPEC, ScenarioSpec,
                                 adaptive_tx_levels)
 from repro.phy.bands import Band
@@ -162,9 +164,9 @@ class TestSimulateNetwork:
 
     def test_serial_and_parallel_rows_identical(self, spec):
         serial = simulate_network(spec, superframes=3, seed=5,
-                                  max_nodes_per_channel=6)
+                                  max_nodes_per_channel=6, backend="event")
         parallel = simulate_network(spec, superframes=3, seed=5,
-                                    max_nodes_per_channel=6,
+                                    max_nodes_per_channel=6, backend="event",
                                     executor=ProcessExecutor(jobs=2))
         assert serial == parallel
 
@@ -180,11 +182,21 @@ class TestSimulateNetwork:
                 event_row["channel_access_failures"]
 
     def test_single_channel_task_roundtrip(self, spec):
-        task = ChannelSimTask(spec=spec, channel=11, placement_seed=5,
-                              sim_seed=42, superframes=2, max_nodes=5)
-        row = simulate_channel(task)
+        """One event-kernel lane task survives pickling and reports its
+        channel's truncated population."""
+        import pickle
+
+        from repro.network.simulate import (_channel_lanes,
+                                            _simulate_event_lane,
+                                            _summary_row)
+
+        lanes, tags = _channel_lanes(spec, 5, 5, replications=1)
+        lane = lanes[[channel for channel, _ in tags].index(11)]
+        task = pickle.loads(pickle.dumps((spec, 2, 11, None, lane)))
+        row = _summary_row(11, _simulate_event_lane(task))
         assert row["channel"] == 11
         assert row["nodes"] == 5
+        assert row["superframes"] == 2
 
     def test_superframe_order_is_honoured(self):
         """Regression: the fan-out used to rebuild the superframe with
@@ -202,18 +214,56 @@ class TestSimulateNetwork:
         assert short["mean_power_uw"] < 0.95 * full["mean_power_uw"]
         assert short["mean_delivery_delay_s"] < full["mean_delivery_delay_s"]
 
-    def test_seed_none_still_shares_one_population(self, spec):
+    @pytest.mark.parametrize("backend", ["batched", "event"])
+    def test_seed_none_still_shares_one_population(self, spec, backend,
+                                                   monkeypatch):
         """Regression: seed=None used to ship placement_seed=None to every
         task, giving each channel its own random node placement."""
-        from repro.network.simulate import build_channel_tasks
+        placements = []
+        build_seeded = ScenarioSpec.build_seeded
 
-        tasks = build_channel_tasks(spec, superframes=2, seed=None)
-        placements = {task.placement_seed for task in tasks}
+        def recording(self, placement_seed):
+            placements.append(placement_seed)
+            return build_seeded(self, placement_seed)
+
+        monkeypatch.setattr(ScenarioSpec, "build_seeded", recording)
+        rows = simulate_network(spec, superframes=2, seed=None,
+                                max_nodes_per_channel=4, backend=backend)
         assert len(placements) == 1
         assert None not in placements
-        rows = simulate_network(spec, superframes=2, seed=None,
-                                max_nodes_per_channel=4)
         assert [row["channel"] for row in rows] == spec.channels
+
+
+class TestBackendChoices:
+    def test_batched_is_the_default_backend(self):
+        from repro.runner import default_registry
+
+        assert ChannelScenario.BACKENDS == ("batched", "event")
+        assert ScenarioSpec().backend == "batched"
+        schema = default_registry().get("case_study_full").schema
+        assert schema["backend"].default == "batched"
+        assert tuple(schema["backend"].choices) == ("batched", "event")
+
+    def test_vectorized_is_rejected_at_every_layer(self, capsys):
+        """Exactly two backends remain; each layer that takes a backend
+        name rejects the retired one and lists the valid choices."""
+        from repro.runner.cli import main
+
+        nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0,
+                            tx_power_dbm=0.0)]
+        config = SuperframeConfig(beacon_order=3, superframe_order=3)
+        with pytest.raises(ValueError, match="choose one of batched, event"):
+            ChannelScenario(nodes, config).run(superframes=1,
+                                               backend="vectorized")
+        with pytest.raises(ValueError, match="choose one of batched, event"):
+            ScenarioSpec(backend="vectorized")
+        with pytest.raises(ValueError, match="choose one of batched, event"):
+            simulate_network(ScenarioSpec(total_nodes=4, num_channels=1),
+                             superframes=1, backend="vectorized")
+        assert main(["run", "case_study_full", "--no-cache",
+                     "--param", "backend=vectorized"]) == 2
+        assert "expected one of 'batched', 'event'" in \
+            capsys.readouterr().err
 
 
 class TestAggregation:

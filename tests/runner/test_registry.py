@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro._deprecation import reset_deprecation_registry
 from repro.runner.params import (ParamSpec, ParameterValueError,
                                  UnknownParameterError)
 from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
@@ -82,18 +81,12 @@ class TestResolveParams:
         assert spec.default_params == {"a": 1}
 
 
-class TestLegacyDefaultParams:
-    def test_legacy_mapping_still_works_with_a_deprecation_warning(self):
-        reset_deprecation_registry()
-        with pytest.deprecated_call(match="default_params"):
-            spec = _spec(default_params={"a": 1, "b": 0.5})
-        assert spec.resolve_params({"b": 2}) == {"a": 1, "b": 2.0}
-        # Types are inferred from the defaults, so coercion still applies.
-        assert spec.resolve_params({"a": "7"})["a"] == 7
-
-    def test_schema_and_legacy_mapping_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            _spec(params=[ParamSpec("a", "int", 1)], default_params={"a": 1})
+class TestRetiredDefaultParamsKeyword:
+    def test_default_params_keyword_is_rejected(self):
+        """Defaults come from the typed schema only; the untyped mapping
+        keyword is gone and must fail loudly, not be ignored."""
+        with pytest.raises(TypeError, match="default_params"):
+            _spec(default_params={"a": 1})
 
 
 class TestDefaultRegistry:

@@ -6,10 +6,9 @@ not silently break the public surface.
 """
 
 import importlib
+import warnings
 
 import pytest
-
-from repro._deprecation import reset_deprecation_registry
 
 
 PUBLIC_SURFACE = {
@@ -17,8 +16,7 @@ PUBLIC_SURFACE = {
               "CaseStudyParameters", "CaseStudyResult", "ChannelInversionPolicy",
               "CC2420_PROFILE", "RadioState", "__version__"],
     "repro.sim": ["Environment", "Event", "Process", "Timeout", "Monitor",
-                  "TimeWeightedMonitor", "CounterMonitor", "RandomStreams",
-                  "Resource", "Store"],
+                  "TimeWeightedMonitor", "CounterMonitor", "RandomStreams"],
     "repro.phy": ["Band", "PhyTiming", "TIMING_2450MHZ", "EmpiricalBerModel",
                   "AnalyticOqpskErrorModel", "PhyFrame", "OqpskDsssModulator",
                   "packet_error_probability"],
@@ -48,7 +46,7 @@ PUBLIC_SURFACE = {
                    "EnergyBreakdown", "TimeBreakdown", "ImprovementAnalysis",
                    "CaseStudy", "LifetimeAnalysis", "SensitivityAnalysis"],
     "repro.analysis": ["format_table", "Series", "SeriesCollection",
-                       "ParameterSweep", "ExperimentReport"],
+                       "ExperimentReport"],
     "repro.experiments": ["run_fig3_radio_characterization", "run_fig4_ber",
                           "run_fig6_csma", "run_fig7_link_adaptation",
                           "run_fig8_packet_size", "run_fig9_breakdown",
@@ -90,20 +88,42 @@ def test_all_lists_are_importable(module_name):
         assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
 
 
-#: Deprecated names that must keep resolving — with a DeprecationWarning —
-#: until their removal release.
-DEPRECATED_SURFACE = {
+#: Retired names that must no longer resolve: removed deprecation
+#: aliases and the code paths superseded by one kernel per backend.
+RETIRED_SURFACE = {
     "repro.runner": ["ExperimentRun"],
     "repro.runner.engine": ["ExperimentRun"],
+    "repro.network": ["ChannelSimTask", "simulate_channel"],
+    "repro.analysis": ["ParameterSweep", "SweepResult"],
+    "repro.sim": ["Resource", "Store"],
 }
 
+#: Retired modules: superseded (``repro.sweep`` replaced the old parameter
+#: sweep), unused (the simulation resources) or shim-only.
+RETIRED_MODULES = ["repro.analysis.sweep", "repro.sim.resources",
+                   "repro._deprecation"]
 
-@pytest.mark.parametrize("module_name", sorted(DEPRECATED_SURFACE))
-def test_deprecated_names_resolve_with_a_warning(module_name):
+
+@pytest.mark.parametrize("module_name", sorted(RETIRED_SURFACE))
+def test_retired_names_are_gone(module_name):
     module = importlib.import_module(module_name)
-    from repro.runner import RunResult
-    for name in DEPRECATED_SURFACE[module_name]:
-        reset_deprecation_registry()
-        with pytest.deprecated_call(match=name):
-            resolved = getattr(module, name)
-        assert resolved is RunResult
+    for name in RETIRED_SURFACE[module_name]:
+        assert not hasattr(module, name), f"{module_name} still has {name}"
+
+
+@pytest.mark.parametrize("module_name", RETIRED_MODULES)
+def test_retired_modules_cannot_be_imported(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+def test_import_and_run_raise_no_deprecation_warnings(tmp_path):
+    """Internal call paths never touch a deprecated API: a tiny end-to-end
+    run under an error filter must pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.runner import run_experiment
+        from repro.runner.cli import main
+        run = run_experiment("fig3_radio", cache_root=tmp_path)
+        assert run.rows
+        assert main(["list", "--verbose"]) == 0
