@@ -47,15 +47,24 @@ through the stable façade (typed parameters, cached results)::
 or through the command line::
 
     $ python -m repro run case_study
+
+The re-exported names below load lazily: ``import repro`` imports neither
+numpy nor the model, so a cached ``python -m repro run`` stays light.
 """
 
-from repro.core.case_study import CaseStudy, CaseStudyParameters, CaseStudyResult
-from repro.core.energy_model import EnergyModel, ModelConfig, NodeEnergyBudget
-from repro.core.link_adaptation import ChannelInversionPolicy
-from repro.radio.power_profile import CC2420_PROFILE
-from repro.radio.states import RadioState
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.case_study": ("CaseStudy", "CaseStudyParameters",
+                              "CaseStudyResult"),
+    "repro.core.energy_model": ("EnergyModel", "ModelConfig",
+                                "NodeEnergyBudget"),
+    "repro.core.link_adaptation": ("ChannelInversionPolicy",),
+    "repro.radio.power_profile": ("CC2420_PROFILE",),
+    "repro.radio.states": ("RadioState",),
+})
 
 __all__ = [
     "EnergyModel",

@@ -9,13 +9,21 @@ examples and the benchmark harness:
 * :mod:`repro.analysis.report` — experiment report assembly (paper value vs
   measured value, relative error, pass/fail against a tolerance band);
 * :mod:`repro.analysis.keys` — type-aware value keys (``bool`` never
-  conflated with ``int``) shared by every row grouping/filtering helper.
+  conflated with ``int``) shared by every row grouping/filtering helper;
+* :mod:`repro.analysis.io` — deterministic CSV/JSON row writers.
+
+The names load lazily: the CLI's row writers and tables never import the
+numpy-backed series containers.
 """
 
-from repro.analysis.keys import typed_key, values_equal
-from repro.analysis.report import ComparisonRow, ExperimentReport
-from repro.analysis.series import Series, SeriesCollection
-from repro.analysis.tables import format_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.keys": ("typed_key", "values_equal"),
+    "repro.analysis.report": ("ComparisonRow", "ExperimentReport"),
+    "repro.analysis.series": ("Series", "SeriesCollection"),
+    "repro.analysis.tables": ("format_table",),
+})
 
 __all__ = [
     "format_table",

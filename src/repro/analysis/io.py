@@ -34,16 +34,36 @@ def ordered_columns(rows: Sequence[Mapping[str, Any]]) -> List[str]:
     return columns
 
 
+def _sorted_mappings(value: Any) -> Any:
+    """``value`` with every nested mapping's keys in sorted order."""
+    if isinstance(value, Mapping):
+        return {key: _sorted_mappings(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_mappings(item) for item in value]
+    return value
+
+
+def _csv_cell(value: Any) -> Any:
+    """One CSV cell: ``None`` is empty, and a nested mapping prints with
+    sorted keys, so a computed row and its cache-hit replay (whose JSON
+    round trip sorted the keys) render the same bytes."""
+    if value is None:
+        return ""
+    if isinstance(value, (Mapping, list)):
+        return str(_sorted_mappings(value))
+    return value
+
+
 def rows_to_csv_text(rows: Sequence[Mapping[str, Any]],
                      columns: Optional[Sequence[str]] = None) -> str:
-    """Render rows as CSV text (missing values and ``None`` are empty)."""
+    """Render rows as CSV text (missing values and ``None`` are empty;
+    nested mappings print with sorted keys)."""
     columns = list(columns) if columns is not None else ordered_columns(rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(["" if row.get(column) is None else row.get(column)
-                         for column in columns])
+        writer.writerow([_csv_cell(row.get(column)) for column in columns])
     return buffer.getvalue()
 
 

@@ -28,11 +28,8 @@ from repro.bench.trajectory import (DEFAULT_TOLERANCE, bench_path,
 DEFAULT_BASELINE_DIR = "benchmarks"
 
 
-def add_bench_parser(commands) -> None:
-    """Attach the ``bench`` subcommand to the engine's subparser tree."""
-    parser = commands.add_parser(
-        "bench", help="measure the simulation kernels and track the "
-                      "BENCH_*.json perf trajectory")
+def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the ``bench`` options to the main CLI's ``bench`` parser."""
     parser.add_argument("cases", nargs="*", metavar="CASE",
                         help=f"cases to run (default: all of "
                              f"{', '.join(BENCH_CASES)})")

@@ -17,14 +17,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# PAPER_SEED, the canonical master seed, is re-exported from the
+# numpy-free leaf module that defines it.
+from repro.constants import PAPER_SEED
 from repro.contention.monte_carlo import ContentionSimulator
 from repro.contention.statistics import ContentionStatistics
-
-#: The project's canonical master seed (the paper's publication year).
-#: ``repro.experiments.common.EXPERIMENT_SEED`` and
-#: ``repro.runner.engine.DEFAULT_SEED`` both alias this constant, so the
-#: seed is defined exactly once.
-PAPER_SEED = 2005
 
 
 class ContentionTable:

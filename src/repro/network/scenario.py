@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.constants import SCENARIO_BACKENDS
 from repro.mac.constants import MAC_2450MHZ, MacConstants
 from repro.mac.coordinator import Coordinator
 from repro.mac.csma import CsmaParameters
@@ -119,7 +120,7 @@ class ChannelScenario:
     """
 
     #: Simulation backends accepted by :meth:`run`.
-    BACKENDS = ("batched", "event")
+    BACKENDS = SCENARIO_BACKENDS
 
     @classmethod
     def check_backend(cls, backend: str) -> None:

@@ -47,9 +47,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-#: Registered traffic-model kinds, in the order ``build_traffic_model``
-#: accepts them (the ``traffic_model`` experiment parameter's choices).
-TRAFFIC_MODEL_KINDS = ("saturated", "periodic", "poisson", "bursty", "mixed")
+from repro.constants import TRAFFIC_MODEL_KINDS
 
 #: Relative tolerance for sensing events landing exactly on a drain
 #: boundary: a sample produced at time ``t`` must be countable by

@@ -28,11 +28,17 @@ scripts and CI) go to stdout via ``print``; auxiliary status lines ("wrote
 ... to ...") and error messages go through the stdlib :mod:`logging` tree
 rooted at the ``repro`` logger, which :func:`main` configures onto stderr —
 ``--log-level`` tunes it and ``-q``/``--quiet`` maps to ``WARNING``.
+
+Start-up discipline: the ``sweep``, ``bench``, ``serve`` and ``jobs`` trees
+belong to layers above the runner.  :func:`build_parser` declares them by
+name, and their modules are imported only when argparse dispatches to one,
+so ``run`` (a cache hit especially) never loads those layers.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import sys
@@ -53,6 +59,41 @@ logger = logging.getLogger(__name__)
 
 #: ``--log-level`` choices, lowercase, mapped via ``getattr(logging, ...)``.
 LOG_LEVELS = ("debug", "info", "warning", "error")
+
+#: Command trees of the layers above the runner: command -> (module, help).
+#: The module defines ``add_<command>_arguments(parser)`` and
+#: ``command_<command>(arguments)``.
+UPPER_COMMANDS = {
+    "sweep": ("repro.sweep.cli",
+              "design-space exploration over registered experiments"),
+    "bench": ("repro.bench.cli",
+              "measure the simulation kernels and track the BENCH_*.json "
+              "perf trajectory"),
+    "serve": ("repro.service.cli",
+              "run the simulation service (HTTP API + workers)"),
+    "jobs": ("repro.service.cli", "client of a running simulation service"),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that can attach its arguments on first use.
+
+    ``upper`` names a command of :data:`UPPER_COMMANDS`: its module adds
+    the arguments when argparse dispatches to the parser (to parse it or to
+    print its ``--help``), never before.
+    """
+
+    def __init__(self, *args: Any, upper: Optional[str] = None,
+                 **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._upper = upper
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._upper is not None:
+            command, self._upper = self._upper, None
+            module = importlib.import_module(UPPER_COMMANDS[command][0])
+            getattr(module, f"add_{command}_arguments")(self)
+        return super().parse_known_args(args, namespace)
 
 
 def configure_logging(arguments: argparse.Namespace) -> None:
@@ -91,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", choices=LOG_LEVELS, default=None,
                         help="stderr log verbosity (default info; "
                              "-q/--quiet on a subcommand implies warning)")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     parser_class=_CommandParser)
 
     list_parser = commands.add_parser(
         "list", help="catalogue of registered experiments")
@@ -167,15 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check a trace against the artifact schema")
     validate_parser.add_argument("trace", help="trace artifact path")
 
-    # Imported here, not at module scope: the sweep and bench packages sit
-    # *above* the runner in the layering (they import the experiment
-    # drivers), so the runner must not depend on them at import time.
-    from repro.sweep.cli import add_sweep_parser
-    add_sweep_parser(commands)
-    from repro.bench.cli import add_bench_parser
-    add_bench_parser(commands)
-    from repro.service.cli import add_service_parsers
-    add_service_parsers(commands)
+    # Declared by name only: the sweep, bench and service layers sit *above*
+    # the runner, so their modules load when their command is dispatched.
+    for command, (_, help_text) in UPPER_COMMANDS.items():
+        commands.add_parser(command, help=help_text, upper=command)
     return parser
 
 
@@ -347,18 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro``; returns the exit status."""
     arguments = build_parser().parse_args(argv)
     configure_logging(arguments)
-    if arguments.command == "sweep":
-        from repro.sweep.cli import command_sweep
-        handler = command_sweep
-    elif arguments.command == "bench":
-        from repro.bench.cli import command_bench
-        handler = command_bench
-    elif arguments.command == "serve":
-        from repro.service.cli import command_serve
-        handler = command_serve
-    elif arguments.command == "jobs":
-        from repro.service.cli import command_jobs
-        handler = command_jobs
+    if arguments.command in UPPER_COMMANDS:
+        module = importlib.import_module(UPPER_COMMANDS[arguments.command][0])
+        handler = getattr(module, f"command_{arguments.command}")
     else:
         handler = {"list": _command_list,
                    "run": _command_run,

@@ -13,27 +13,30 @@ The analytical experiments (fig7–fig9, case study, improvements) share one
 cached contention characterisation per ``(num_windows, seed)`` — built in
 parallel when an executor is available and persisted through the result
 cache, which is what makes a warm second run near-instant.
+
+Building the registry imports neither numpy nor the model: the schemas
+take their choices from the leaf module :mod:`repro.constants`, and every
+adapter imports its driver and model layers when it runs.  A cache hit
+therefore loads only the schema, the key and the stored JSON.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping
 
-from repro.analysis.report import ExperimentReport
-from repro.analysis.series import SeriesCollection
-from repro.contention.monte_carlo import characterize_grid
-from repro.contention.tables import ContentionTable, build_contention_table
-from repro.core.energy_model import EnergyModel
-from repro.experiments.common import TABLE_LOADS, TABLE_SIZES
-from repro.mac.frames import total_packet_overhead_bytes
-from repro.network.routing import ROUTING_KINDS
-from repro.network.scenario import ChannelScenario
-from repro.network.topology import TOPOLOGY_KINDS
-from repro.network.traffic import TRAFFIC_MODEL_KINDS
+from repro.constants import (ROUTING_KINDS, SCENARIO_BACKENDS, TABLE_LOADS,
+                             TABLE_SIZES, TOPOLOGY_KINDS,
+                             TRAFFIC_MODEL_KINDS)
 from repro.runner.cache import code_version
 from repro.runner.params import ParamSpec
 from repro.runner.registry import ExperimentRegistry, ExperimentSpec, RunContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (keeps the hit path light)
+    from repro.analysis.report import ExperimentReport
+    from repro.analysis.series import SeriesCollection
+    from repro.contention.tables import ContentionTable
+    from repro.core.energy_model import EnergyModel
 
 #: Grid of the shared engine characterisation — the same axes
 #: :func:`repro.experiments.common.fast_contention_table` uses, so the two
@@ -111,6 +114,7 @@ def engine_contention_table(context: RunContext, num_windows: int = 15,
     the result cache, making every later experiment that needs it (fig7–fig9,
     case study, improvements, validation) start from a warm table.
     """
+    from repro.contention.tables import ContentionTable, build_contention_table
     params = {"loads": list(ENGINE_TABLE_LOADS),
               "packet_sizes": list(ENGINE_TABLE_SIZES),
               "num_windows": num_windows, "num_nodes": num_nodes}
@@ -135,6 +139,7 @@ def engine_contention_table(context: RunContext, num_windows: int = 15,
 
 def engine_model(context: RunContext, num_windows: int = 15) -> EnergyModel:
     """The energy model the analytical experiments start from."""
+    from repro.core.energy_model import EnergyModel
     return EnergyModel(
         contention_source=engine_contention_table(context,
                                                   num_windows=num_windows))
@@ -171,6 +176,9 @@ def run_fig6(params: Mapping[str, Any], context: RunContext) -> Dict[str, Any]:
     Every (payload, load) point is an independent Monte-Carlo task with its
     own spawned seed, fanned out through the context executor.
     """
+    from repro.analysis.report import ExperimentReport
+    from repro.contention.monte_carlo import characterize_grid
+    from repro.mac.frames import total_packet_overhead_bytes
     loads = [float(load) for load in params["loads"]]
     payloads = [int(p) for p in params["payload_sizes"]]
     overhead = total_packet_overhead_bytes()
@@ -527,7 +535,7 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="cap on simulated nodes per channel (None: "
                           "uncapped)"),
             ParamSpec("backend", "str", "batched",
-                      choices=ChannelScenario.BACKENDS,
+                      choices=SCENARIO_BACKENDS,
                       doc="simulation kernel: batched lockstep run of "
                           "every channel, or the discrete-event reference "
                           "(one task per channel, fanned out by --jobs)"),

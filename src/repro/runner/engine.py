@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Mapping, Optional
 
+from repro.constants import PAPER_SEED
 from repro.obs.parallel import TracedExecutor
 from repro.obs.tracer import activate, current_tracer
 from repro.runner.backends import CacheBackend, resolve_backend
@@ -29,8 +30,6 @@ from repro.runner.executor import make_executor
 from repro.runner.registry import (ExperimentRegistry, RunContext,
                                    default_registry)
 from repro.runner.result import RunResult
-
-from repro.contention.tables import PAPER_SEED
 
 #: Master seed every engine run defaults to (the paper's publication year,
 #: matching ``repro.experiments.common.EXPERIMENT_SEED``).

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -89,6 +88,10 @@ class ProcessExecutor:
     def map_tasks(self, function: Callable[[Any], Any],
                   tasks: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, function(task))`` pairs in completion order."""
+        # Imported here: the process pool (and with it multiprocessing) is
+        # only loaded when a run actually fans out over workers.
+        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                        wait)
         tasks = list(tasks)
         if not tasks:
             return

@@ -9,6 +9,9 @@ atomic in sqlite and result artifacts dedup through the shared cache.
 ``repro jobs submit|status|fetch|cancel`` is the matching client.
 ``fetch`` writes the stored result text verbatim, so for run jobs its
 output is byte-identical to ``repro run --output json`` of the same spec.
+
+The parsers are built from argparse alone; the handlers import the façade,
+the store, the HTTP server and the client when they run.
 """
 
 from __future__ import annotations
@@ -19,21 +22,24 @@ import logging
 import signal
 import sys
 import threading
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from repro.api import Session, parse_param_arg, resolve_backend
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import ServiceState, make_server
-from repro.service.store import JobStore
-from repro.service.worker import DEFAULT_STALE_AFTER_S, WorkerPool
+from repro.service.jobs import DEFAULT_STALE_AFTER_S
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.client import ServiceClient
 
 logger = logging.getLogger(__name__)
 
 
-def add_service_parsers(commands: Any) -> None:
-    """Attach the ``serve`` and ``jobs`` trees to the root subparsers."""
-    serve = commands.add_parser(
-        "serve", help="run the simulation service (HTTP API + workers)")
+def parse_param_arg(text: str) -> Tuple[str, Any]:
+    """The façade's shared ``--param KEY=VALUE`` reader, imported on use."""
+    from repro.api import parse_param_arg as parse
+    return parse(text)
+
+
+def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
+    """Add the ``serve`` options to the main CLI's ``serve`` parser."""
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8750,
@@ -66,8 +72,9 @@ def add_service_parsers(commands: Any) -> None:
                        help="requeue a claim with no heartbeat for this "
                             f"long (default {DEFAULT_STALE_AFTER_S:g}s)")
 
-    jobs = commands.add_parser(
-        "jobs", help="client of a running simulation service")
+
+def add_jobs_arguments(jobs: argparse.ArgumentParser) -> None:
+    """Build the ``jobs`` client tree on the main CLI's ``jobs`` parser."""
     jobs.add_argument("--url", default="http://127.0.0.1:8750",
                       help="service endpoint "
                            "(default http://127.0.0.1:8750)")
@@ -107,6 +114,10 @@ def add_service_parsers(commands: Any) -> None:
 
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM, then drain gracefully."""
+    from repro.api import Session, resolve_backend
+    from repro.service.http import ServiceState, make_server
+    from repro.service.store import JobStore
+    from repro.service.worker import WorkerPool
     backend = resolve_backend(arguments.backend, arguments.cache_dir)
     store_path = arguments.store or str(backend.root / "jobs.sqlite")
     store = JobStore(store_path, max_attempts=arguments.max_attempts)
@@ -155,6 +166,7 @@ def command_serve(arguments: argparse.Namespace) -> int:
 
 def command_jobs(arguments: argparse.Namespace) -> int:
     """Dispatch one ``repro jobs`` client action."""
+    from repro.service.client import ServiceClient, ServiceError
     client = ServiceClient(arguments.url)
     try:
         return _run_jobs_action(client, arguments)

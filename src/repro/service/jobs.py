@@ -23,7 +23,9 @@ source change makes fresh work instead of serving stale artifacts.
     failed/cancelled -> queued (explicit resubmission)
 
 Layering: this module (like all of :mod:`repro.service`) talks to the
-engine exclusively through :mod:`repro.api`.
+engine exclusively through :mod:`repro.api`, which it imports on use: the
+job vocabulary itself is plain data, so the ``serve``/``jobs`` parsers and
+the HTTP client load without the engine.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
-from repro.api import Session, code_version
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import Session
 
 #: Kinds of work a job can describe.
 JOB_KINDS = ("run", "sweep")
+
+#: How long a claim may go without a heartbeat before peers requeue it.
+DEFAULT_STALE_AFTER_S = 30.0
 
 
 class JobState:
@@ -180,6 +186,7 @@ def canonicalize(session: Session, spec: JobSpec) -> CanonicalJob:
     names and invalid parameters fail here, at submission time, not on a
     worker.
     """
+    from repro.api import canonical_params, code_version
     if spec.kind == "run":
         experiment = session.experiment(spec.name)
         seed = spec.seed if spec.seed is not None else session.seed
@@ -188,7 +195,6 @@ def canonicalize(session: Session, spec: JobSpec) -> CanonicalJob:
                 "Service jobs must be reproducible: the spec carries no "
                 "seed and the session's seed policy is None")
         cache_key = session.cache_key(spec.name, seed=seed, **spec.params)
-        from repro.api import canonical_params
         resolved = canonical_params(experiment.resolve_params(spec.params))
         payload = {"kind": "run", "experiment": experiment.name,
                    "params": resolved, "seed": seed,

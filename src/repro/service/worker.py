@@ -38,13 +38,11 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.api import Session, sweep_json_text
 from repro.obs import Tracer, activate
-from repro.service.jobs import JobSpec, JobState, spec_from_canonical
+from repro.service.jobs import (DEFAULT_STALE_AFTER_S, JobSpec, JobState,
+                                spec_from_canonical)
 from repro.service.store import JobRecord, JobStore
 
 logger = logging.getLogger(__name__)
-
-#: How long a claim may go without a heartbeat before peers requeue it.
-DEFAULT_STALE_AFTER_S = 30.0
 
 
 class Worker:

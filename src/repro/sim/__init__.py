@@ -30,18 +30,19 @@ Main entry points
 ``Monitor`` / ``TimeWeightedMonitor`` / ``CounterMonitor``
     Lightweight statistics collectors used by the MAC simulation and the
     Monte-Carlo contention characterisation.
+
+The names load lazily, so importing :mod:`repro.sim.monitor` (the obs
+layer and the result cache do) never imports numpy.
 """
 
-from repro.sim.engine import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
-from repro.sim.random import RandomStreams, spawn_seeds
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Environment", "Event", "Interrupt", "Process",
+                         "SimulationError", "Timeout"),
+    "repro.sim.monitor": ("CounterMonitor", "Monitor", "TimeWeightedMonitor"),
+    "repro.sim.random": ("RandomStreams", "spawn_seeds"),
+})
 
 __all__ = [
     "Environment",

@@ -14,14 +14,19 @@ contention characterisation:
 ``CounterMonitor``
     Named event counters with convenient ratio helpers (e.g. collisions per
     attempted transmission).
+
+Only the :class:`Monitor` statistics use numpy, and they import it when
+called: the obs tracer and the result cache count with
+:class:`CounterMonitor`, so a cache hit never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class Monitor:
@@ -47,21 +52,25 @@ class Monitor:
     @property
     def values(self) -> np.ndarray:
         """All observations as an array (copy)."""
+        import numpy as np
         return np.asarray(self._values, dtype=float)
 
     @property
     def total(self) -> float:
         """Sum of all observations."""
+        import numpy as np
         return float(np.sum(self._values)) if self._values else 0.0
 
     @property
     def mean(self) -> float:
         """Arithmetic mean; ``nan`` when empty."""
+        import numpy as np
         return float(np.mean(self._values)) if self._values else math.nan
 
     @property
     def std(self) -> float:
         """Sample standard deviation (ddof=1); ``nan`` with < 2 samples."""
+        import numpy as np
         if len(self._values) < 2:
             return math.nan
         return float(np.std(self._values, ddof=1))
@@ -69,15 +78,18 @@ class Monitor:
     @property
     def min(self) -> float:
         """Smallest observation; ``nan`` when empty."""
+        import numpy as np
         return float(np.min(self._values)) if self._values else math.nan
 
     @property
     def max(self) -> float:
         """Largest observation; ``nan`` when empty."""
+        import numpy as np
         return float(np.max(self._values)) if self._values else math.nan
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the observations; ``nan`` when empty."""
+        import numpy as np
         if not self._values:
             return math.nan
         return float(np.percentile(self._values, q))

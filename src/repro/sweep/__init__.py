@@ -32,33 +32,39 @@ Quick start::
                                  "failure_probability": "min"})
     result = run_sweep(spec, jobs=4)          # re-run resumes from cache
     front = pareto_front(result.rows, spec.objectives)
+
+The names load lazily, so importing one submodule (such as the command
+tree in :mod:`repro.sweep.cli`) does not load the whole subsystem.
 """
 
-from repro.sweep.analysis import (GroupedRows, UnknownMetricError,
-                                  aggregate_rows, dominates, group_rows,
-                                  knee_point, pareto_front, require_metrics)
-from repro.sweep.artifacts import (export_optimize, export_sweep,
-                                   optimize_manifest, ordered_columns,
-                                   rows_to_csv_text, rows_to_json_text,
-                                   sweep_manifest, write_rows)
-from repro.sweep.catalog import (OptimizeDefinition, SweepDefinition,
-                                 UnknownOptimizeError, UnknownSweepError,
-                                 get_definition, get_optimize,
-                                 get_optimize_definition, get_sweep,
-                                 iter_definitions,
-                                 iter_optimize_definitions, optimize_names,
-                                 sweep_names)
-from repro.sweep.driver import (SweepPoint, SweepRunResult, SweepStatus,
-                                build_points, dispatch_points,
-                                expand_points, extract_point_metrics,
-                                run_sweep, sweep_status)
-from repro.sweep.optimize import (ChoiceDimension, FloatDimension,
-                                  IntDimension, OptimizeResult,
-                                  OptimizeRound, OptimizeSpec,
-                                  dimension_from_payload,
-                                  optimize_spec_from_payload, run_optimize)
-from repro.sweep.spec import (GridAxis, RandomAxis, RangeAxis, SweepSpec,
-                              axis_from_payload, spec_from_payload)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweep.analysis": ("GroupedRows", "UnknownMetricError",
+                             "aggregate_rows", "dominates", "group_rows",
+                             "knee_point", "pareto_front", "require_metrics"),
+    "repro.sweep.artifacts": ("export_optimize", "export_sweep",
+                              "optimize_manifest", "ordered_columns",
+                              "rows_to_csv_text", "rows_to_json_text",
+                              "sweep_manifest", "write_rows"),
+    "repro.sweep.catalog": ("OptimizeDefinition", "SweepDefinition",
+                            "UnknownOptimizeError", "UnknownSweepError",
+                            "get_definition", "get_optimize",
+                            "get_optimize_definition", "get_sweep",
+                            "iter_definitions", "iter_optimize_definitions",
+                            "optimize_names", "sweep_names"),
+    "repro.sweep.driver": ("SweepPoint", "SweepRunResult", "SweepStatus",
+                           "build_points", "dispatch_points",
+                           "expand_points", "extract_point_metrics",
+                           "run_sweep", "sweep_status"),
+    "repro.sweep.optimize": ("ChoiceDimension", "FloatDimension",
+                             "IntDimension", "OptimizeResult",
+                             "OptimizeRound", "OptimizeSpec",
+                             "dimension_from_payload",
+                             "optimize_spec_from_payload", "run_optimize"),
+    "repro.sweep.spec": ("GridAxis", "RandomAxis", "RangeAxis", "SweepSpec",
+                         "axis_from_payload", "spec_from_payload"),
+})
 
 __all__ = [
     "ChoiceDimension",

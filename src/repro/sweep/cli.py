@@ -24,34 +24,30 @@ recomputes nothing.
 Output discipline matches :mod:`repro.runner.cli`: result tables and the
 summary/``spec_hash`` lines stay on stdout; auxiliary status ("wrote ...")
 and ``error:`` lines go through the ``repro`` logger to stderr.
+
+The parser is built from argparse alone; each handler imports the sweep
+modules it uses, so ``sweep --help`` loads neither the model nor numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+from typing import TYPE_CHECKING
 
 # Shared --param reader — one table, one behaviour for both the runner and
 # the sweep CLI (see repro.runner.params.parse_param).
 from repro.runner.params import parse_param
 from repro.runner.params import parse_param_arg as _parse_param
-from repro.sweep.analysis import knee_point, pareto_front
-from repro.sweep.artifacts import export_optimize, export_sweep
-from repro.sweep.catalog import (UnknownOptimizeError, UnknownSweepError,
-                                 get_optimize, get_sweep,
-                                 iter_definitions,
-                                 iter_optimize_definitions)
-from repro.sweep.driver import run_sweep, sweep_status
-from repro.sweep.optimize import run_optimize
-from repro.sweep.spec import SweepSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.spec import SweepSpec
 
 logger = logging.getLogger(__name__)
 
 
-def add_sweep_parser(commands) -> None:
-    """Attach the ``sweep`` command tree to the main CLI's subparsers."""
-    sweep_parser = commands.add_parser(
-        "sweep", help="design-space exploration over registered experiments")
+def add_sweep_arguments(sweep_parser: argparse.ArgumentParser) -> None:
+    """Build the ``sweep`` command tree on the main CLI's ``sweep`` parser."""
     actions = sweep_parser.add_subparsers(dest="sweep_command", required=True)
 
     list_parser = actions.add_parser(
@@ -137,6 +133,7 @@ def add_sweep_parser(commands) -> None:
 
 
 def _resolve_spec(arguments: argparse.Namespace) -> SweepSpec:
+    from repro.sweep.catalog import get_sweep
     spec = get_sweep(arguments.sweep, quick=arguments.quick)
     overrides = dict(getattr(arguments, "param", []) or [])
     if overrides:
@@ -148,11 +145,12 @@ def _print_front(result, names=None) -> None:
     objectives = dict(result.spec.objectives)
     if not objectives:
         return
+    from repro.analysis.tables import format_table
+    from repro.sweep.analysis import knee_point, pareto_front
     names = names if names is not None else result.spec.axis_names()
     front = pareto_front(result.rows, objectives)
     knee = knee_point(front, objectives)
     columns = ["point"] + list(names) + list(objectives)
-    from repro.analysis.tables import format_table
     senses = ", ".join(f"{metric} ({sense})"
                        for metric, sense in objectives.items())
     rows = [["-" if row.get(column) is None else row.get(column)
@@ -165,6 +163,8 @@ def _print_front(result, names=None) -> None:
 
 
 def _command_run(arguments: argparse.Namespace) -> int:
+    from repro.sweep.artifacts import export_sweep
+    from repro.sweep.driver import run_sweep
     spec = _resolve_spec(arguments)
     tracer = None
     if arguments.trace:
@@ -194,6 +194,7 @@ def _command_run(arguments: argparse.Namespace) -> int:
 
 
 def _command_status(arguments: argparse.Namespace) -> int:
+    from repro.sweep.driver import sweep_status
     spec = _resolve_spec(arguments)
     status = sweep_status(spec, cache_root=arguments.cache_dir)
     for point, done in zip(status.points, status.done):
@@ -209,6 +210,8 @@ def _command_status(arguments: argparse.Namespace) -> int:
 
 
 def _command_export(arguments: argparse.Namespace) -> int:
+    from repro.sweep.artifacts import export_sweep
+    from repro.sweep.driver import run_sweep
     spec = _resolve_spec(arguments)
     result = run_sweep(spec, jobs=arguments.jobs,
                        cache_root=arguments.cache_dir)
@@ -222,6 +225,9 @@ def _command_export(arguments: argparse.Namespace) -> int:
 
 
 def _command_optimize(arguments: argparse.Namespace) -> int:
+    from repro.sweep.artifacts import export_optimize
+    from repro.sweep.catalog import get_optimize
+    from repro.sweep.optimize import run_optimize
     spec = get_optimize(arguments.optimizer, quick=arguments.quick)
     overrides = dict(getattr(arguments, "param", []) or [])
     if overrides:
@@ -247,6 +253,7 @@ def _command_optimize(arguments: argparse.Namespace) -> int:
 
 def _command_list(arguments: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
+    from repro.sweep.catalog import iter_definitions, iter_optimize_definitions
     rows = []
     for definition in iter_definitions():
         spec = definition.build(quick=False)
@@ -288,6 +295,7 @@ def _command_list(arguments: argparse.Namespace) -> int:
 
 def command_sweep(arguments: argparse.Namespace) -> int:
     """Dispatch one parsed ``sweep`` invocation; returns the exit status."""
+    from repro.sweep.catalog import UnknownOptimizeError, UnknownSweepError
     handler = {"list": _command_list,
                "run": _command_run,
                "status": _command_status,

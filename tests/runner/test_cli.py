@@ -1,5 +1,6 @@
 """Smoke tests of the ``python -m repro`` command line."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,32 @@ class TestCommands:
         assert cold_file.read_text().splitlines()[0] == \
             "payload_bytes,load,on_air_bytes,t_cont_s,n_cca,pr_col,pr_cf"
 
+    def test_csv_replay_is_byte_identical_to_the_computed_run(self, tmp_path,
+                                                             capsys):
+        """Regression: the nested ``energy_by_phase_j`` cell printed in
+        insertion order when computed and in sorted-key order on a cache
+        hit.  Both now print sorted keys, to stdout and to a file."""
+        args = ["run", "case_study_full", "--param", "total_nodes=64",
+                "--param", "superframes=3", "--cache-dir",
+                str(tmp_path / "cache")]
+        outputs, files, summaries = [], [], []
+        for name in ("computed", "replayed"):
+            out_file = tmp_path / f"{name}.csv"
+            assert main([*args, "--output", "csv"]) == 0
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            summaries.append(captured.err)
+            assert main([*args, "--quiet", "--output-file",
+                          str(out_file)]) == 0
+            capsys.readouterr()
+            files.append(out_file.read_bytes())
+        assert "[computed" in summaries[0] and "[cache]" in summaries[1]
+        assert outputs[0] == outputs[1]
+        assert files[0] == files[1] == outputs[0].encode("utf-8")
+        cell = re.search(r'"(\{.*?\})"', outputs[0]).group(1)
+        keys = re.findall(r"'(\w+)':", cell)
+        assert keys and keys == sorted(keys)
+
     def test_run_output_stdout_is_pipeable(self, tmp_path, capsys):
         """--output without a file: rows own stdout, summary moves to
         stderr so `python -m repro run ... --output csv | ...` stays clean."""
@@ -205,7 +232,59 @@ class TestCommands:
         assert "[cache]" in capsys.readouterr().out
 
 
+#: The commands and options each ``--help`` page lists (subcommand choices
+#: as ``{a,b}``).  The lazily attached sweep/bench/serve/jobs trees must
+#: print exactly what they printed when they were built eagerly.
+HELP_SURFACE = {
+    (): ["--help", "--log-level", "--quiet", "-h", "-q",
+         "{debug,info,warning,error}",
+         "{list,run,cache,obs,sweep,bench,serve,jobs}"],
+    ("run",): ["--cache-dir", "--help", "--jobs", "--no-cache", "--output",
+               "--output-file", "--param", "--quiet", "--seed", "--trace",
+               "-h", "-j", "-q", "{csv,json}"],
+    ("list",): ["--help", "--verbose", "-h"],
+    ("cache",): ["--backend", "--cache-dir", "--clear", "--help",
+                 "--keep-current", "-h", "{directory,shared}",
+                 "{show,prune,stats}"],
+    ("obs",): ["--help", "-h", "{report,validate}"],
+    ("sweep",): ["--help", "-h", "{list,run,status,export,optimize}"],
+    ("bench",): ["--baseline-dir", "--check", "--help", "--out", "--phases",
+                 "--quick", "--repeats", "--tolerance", "-h"],
+    ("serve",): ["--backend", "--cache-dir", "--help", "--host", "--jobs",
+                 "--max-attempts", "--port", "--seed", "--stale-after",
+                 "--store", "--workers", "-h", "-j", "{directory,shared}"],
+    ("jobs",): ["--help", "--url", "-h", "{submit,status,fetch,cancel,list}"],
+}
+
+
+def _help_tokens(text):
+    options = re.findall(r"(?<![\w-])--?[a-zA-Z][\w-]*", text)
+    choices = re.findall(r"\{[\w,]+\}", text)
+    return sorted(set(options + choices) - {"-m"})  # "-m" is from the prog
+
+
+class TestHelpSurface:
+    @pytest.mark.parametrize("command", sorted(HELP_SURFACE),
+                             ids=lambda command: "-".join(command) or "top")
+    def test_help_lists_the_same_commands_and_options(self, command,
+                                                      capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([*command, "--help"])
+        assert caught.value.code == 0
+        assert _help_tokens(capsys.readouterr().out) == \
+            sorted(HELP_SURFACE[command])
+
+
 class TestModuleEntryPoint:
+    def test_python_dash_m_repro_help(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"], capture_output=True,
+            text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+        assert completed.returncode == 0, completed.stderr
+        assert _help_tokens(completed.stdout) == sorted(HELP_SURFACE[()])
+
     def test_python_dash_m_repro(self, tmp_path):
         """The acceptance command: ``python -m repro run fig6_csma --jobs 2``."""
         src = Path(__file__).resolve().parents[2] / "src"

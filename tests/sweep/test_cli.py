@@ -10,8 +10,8 @@ from repro.runner.cli import build_parser, main
 class TestLayering:
     def test_runner_cli_imports_without_the_sweep_package(self):
         """The runner sits *below* repro.sweep in the layering: importing
-        it must not pull the sweep package in (only build_parser/main do,
-        lazily)."""
+        it must not pull the sweep package in (only dispatching a
+        ``sweep`` command does)."""
         import subprocess
         import sys
         from pathlib import Path

@@ -127,3 +127,84 @@ def test_import_and_run_raise_no_deprecation_warnings(tmp_path):
         run = run_experiment("fig3_radio", cache_root=tmp_path)
         assert run.rows
         assert main(["list", "--verbose"]) == 0
+
+
+# -- lazy package exports ---------------------------------------------------------------
+
+#: Packages whose ``__init__`` resolves its exports on first access
+#: (PEP 562), so importing one submodule never loads the whole package.
+LAZY_PACKAGES = ["repro", "repro.analysis", "repro.service", "repro.sim",
+                 "repro.sweep"]
+
+#: Checked in a fresh interpreter, where nothing has been resolved yet.
+LAZY_PROBE = """
+import importlib, sys
+name = sys.argv[1]
+package = importlib.import_module(name)
+exported = list(package.__all__)
+missing = sorted(set(exported) - set(dir(package)))
+assert not missing, ("dir() misses", missing)
+namespace = {}
+exec(f"from {name} import *", namespace)
+assert set(exported) <= set(namespace), sorted(set(exported) - set(namespace))
+try:
+    package.no_such_export
+except AttributeError as error:
+    assert repr(name) in str(error), str(error)
+else:
+    raise AssertionError("unknown attribute resolved")
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_package_exports_resolve_in_a_fresh_interpreter(package):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, package], capture_output=True,
+        text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_export_is_cached_on_the_package(package):
+    """After its first access a lazy name is a plain package attribute."""
+    module = importlib.import_module(package)
+    name = next(attr for attr in module.__all__ if attr != "__version__")
+    value = getattr(module, name)
+    assert vars(module)[name] is value
+
+
+def test_registry_schema_choices_are_the_single_source_constants():
+    """The registry declares its choices from ``repro.constants``; the
+    model modules re-export the same objects, so the two cannot drift."""
+    import repro.constants as constants
+    from repro.contention.tables import PAPER_SEED
+    from repro.experiments.common import (EXPERIMENT_SEED, TABLE_LOADS,
+                                          TABLE_SIZES)
+    from repro.network.routing import ROUTING_KINDS
+    from repro.network.scenario import ChannelScenario
+    from repro.network.topology import TOPOLOGY_KINDS
+    from repro.network.traffic import TRAFFIC_MODEL_KINDS
+    from repro.runner import DEFAULT_SEED, default_registry
+    from repro.runner.drivers import ENGINE_TABLE_LOADS, ENGINE_TABLE_SIZES
+
+    schema = default_registry().get("case_study_full").schema
+    assert schema["backend"].choices is ChannelScenario.BACKENDS
+    assert schema["topology"].choices is TOPOLOGY_KINDS
+    assert schema["routing"].choices is ROUTING_KINDS
+    assert schema["traffic_model"].choices is TRAFFIC_MODEL_KINDS
+    assert ChannelScenario.BACKENDS is constants.SCENARIO_BACKENDS
+    assert TOPOLOGY_KINDS is constants.TOPOLOGY_KINDS
+    assert ROUTING_KINDS is constants.ROUTING_KINDS
+    assert TRAFFIC_MODEL_KINDS is constants.TRAFFIC_MODEL_KINDS
+    assert ENGINE_TABLE_LOADS is TABLE_LOADS is constants.TABLE_LOADS
+    assert ENGINE_TABLE_SIZES is TABLE_SIZES is constants.TABLE_SIZES
+    assert DEFAULT_SEED == PAPER_SEED == EXPERIMENT_SEED \
+        == constants.PAPER_SEED
