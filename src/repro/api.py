@@ -74,6 +74,7 @@ __all__ = [
     "UnknownSweepError",
     "DEFAULT_SEED",
     "code_version",
+    "preload",
     "canonical_params",
     "parse_param_arg",
     "sweep_json_text",
@@ -84,6 +85,25 @@ __all__ = [
 ]
 
 _UNSET = object()
+
+
+def preload() -> None:
+    """Import every experiment driver, the MAC kernel and numpy's RNG now
+    rather than inside the first run.
+
+    ``repro serve`` calls this once before it forks its worker processes,
+    so every worker — replacements included — starts with the model
+    loaded instead of importing it while a job waits.
+    """
+    import importlib
+    import pkgutil
+
+    import numpy.random  # noqa: F401
+    import repro.experiments
+    import repro.mac.vectorized  # noqa: F401
+    import repro.runner.drivers  # noqa: F401
+    for module in pkgutil.iter_modules(repro.experiments.__path__):
+        importlib.import_module(f"repro.experiments.{module.name}")
 
 
 class Session:

@@ -262,11 +262,11 @@ class Tracer:
 class _TracerStack(threading.local):
     """Per-thread stack of active tracers (disabled default at the bottom).
 
-    Thread-local, not process-global: the service worker pool runs several
-    engine calls concurrently in one process, each under its own worker
-    tracer — a shared stack would interleave ``activate``/``pop`` pairs
-    across threads and attribute one worker's telemetry to another (or pop
-    the wrong tracer entirely).  Every thread starts with its own fresh
+    Thread-local, not process-global: a program that runs several engine
+    calls concurrently on threads, each under its own tracer, would
+    otherwise interleave ``activate``/``pop`` pairs across threads and
+    attribute one call's telemetry to another (or pop the wrong tracer
+    entirely).  Every thread starts with its own fresh
     ``[NULL_TRACER]`` bottom, so single-threaded semantics are unchanged.
     """
 

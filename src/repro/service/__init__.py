@@ -3,9 +3,11 @@
 Turns :class:`repro.api.Session` into a long-running service: typed job
 specs whose canonical hash is a cross-user deduplication key
 (:mod:`~repro.service.jobs`), a sqlite-backed job queue with atomic claims
-(:mod:`~repro.service.store`), a worker pool draining it through the
-session façade (:mod:`~repro.service.worker`), a stdlib-only JSON HTTP API
-(:mod:`~repro.service.http`) with its urllib client
+(:mod:`~repro.service.store`), workers draining it through the session
+façade (:mod:`~repro.service.worker`), the supervisor that forks them and
+the frontend as processes (:mod:`~repro.service.supervisor`), a
+stdlib-only JSON HTTP API (:mod:`~repro.service.http`) with its urllib
+client
 (:mod:`~repro.service.client`), and the ``repro serve`` / ``repro jobs``
 command trees (:mod:`~repro.service.cli`).
 
@@ -30,7 +32,8 @@ _EXPORTS = {
                            "JobSpecError", "JobState", "can_transition",
                            "canonicalize", "spec_from_canonical"),
     "repro.service.store": ("JobRecord", "JobStore"),
-    "repro.service.worker": ("Worker", "WorkerPool"),
+    "repro.service.supervisor": ("Supervisor",),
+    "repro.service.worker": ("Worker", "worker_identity"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}
@@ -63,7 +66,8 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "Worker",
-    "WorkerPool",
+    "worker_identity",
+    "Supervisor",
     "ServiceState",
     "make_server",
     "ServiceClient",

@@ -1,10 +1,12 @@
 """The ``serve`` and ``jobs`` command trees of ``python -m repro``.
 
-``repro serve`` hosts the whole service in one process: a job store, a
-worker pool draining it through :class:`repro.api.Session`, and the HTTP
-frontend.  Several ``serve`` processes pointed at one ``--store`` and one
-``--cache-dir`` (with ``--backend shared``) cooperate safely — claims are
-atomic in sqlite and result artifacts dedup through the shared cache.
+``repro serve`` hosts the whole service as one process tree: a
+single-threaded supervisor that forks the HTTP frontend and N worker
+processes draining the job store through :class:`repro.api.Session` (see
+:mod:`repro.service.supervisor`).  Several ``serve`` processes pointed at
+one ``--store`` and one ``--cache-dir`` (with ``--backend shared``)
+cooperate safely — claims are atomic in sqlite and result artifacts dedup
+through the shared cache.
 
 ``repro jobs submit|status|fetch|cancel`` is the matching client.
 ``fetch`` writes the stored result text verbatim, so for run jobs its
@@ -19,9 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import signal
+import os
 import sys
-import threading
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.service.jobs import DEFAULT_STALE_AFTER_S
@@ -45,7 +46,7 @@ def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--port", type=int, default=8750,
                        help="bind port (default 8750; 0 picks a free port)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads draining the job queue "
+                       help="worker processes draining the job queue "
                             "(default 2; 0 = frontend only)")
     serve.add_argument("--backend", choices=["directory", "shared"],
                        default="shared",
@@ -112,12 +113,22 @@ def add_jobs_arguments(jobs: argparse.ArgumentParser) -> None:
     del listing
 
 
+#: Thread-pool sizes of the BLAS libraries numpy may link.  ``serve``
+#: pins them to one: its parallelism is the worker processes, and a
+#: supervisor running a BLAS pool could not fork safely.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")
+
+
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM, then drain gracefully."""
+    for name in _BLAS_THREAD_VARIABLES:
+        os.environ[name] = "1"
     from repro.api import Session, resolve_backend
     from repro.service.http import ServiceState, make_server
     from repro.service.store import JobStore
-    from repro.service.worker import WorkerPool
+    from repro.service.supervisor import Supervisor
+    from repro.service.worker import Worker
     backend = resolve_backend(arguments.backend, arguments.cache_dir)
     store_path = arguments.store or str(backend.root / "jobs.sqlite")
     store = JobStore(store_path, max_attempts=arguments.max_attempts)
@@ -126,42 +137,22 @@ def command_serve(arguments: argparse.Namespace) -> int:
                                        "jobs": arguments.jobs}
     if arguments.seed is not None:
         session_options["seed"] = arguments.seed
-    frontend_session = Session(**session_options)
-    pool = WorkerPool(store, lambda: Session(**session_options),
-                      workers=max(0, arguments.workers),
-                      stale_after_s=arguments.stale_after)
-    state = ServiceState(frontend_session, store, pool)
-    server = make_server(state, arguments.host, arguments.port)
-
-    stop = threading.Event()
-
-    def request_stop(signum, frame):  # noqa: ARG001 (signal signature)
-        logger.info("received signal %s; draining workers", signum)
-        stop.set()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        previous[signum] = signal.signal(signum, request_stop)
-    pool.start()
-    server_thread = threading.Thread(target=server.serve_forever,
-                                     daemon=True, name="service-http")
-    server_thread.start()
+    supervisor = Supervisor(
+        store,
+        lambda: Worker(store, Session(**session_options),
+                       stale_after_s=arguments.stale_after),
+        workers=arguments.workers)
+    server = make_server(
+        ServiceState(Session(**session_options), store, supervisor.identity),
+        arguments.host, arguments.port)
     host, port = server.server_address[:2]
     print(f"repro service listening on http://{host}:{port} "
-          f"({len(pool.workers)} worker(s), cache {backend.describe()['root']}, "
-          f"store {store_path})")
-    sys.stdout.flush()
-    try:
-        stop.wait()
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.shutdown()
-        server.server_close()
-        pool.stop()
-        logger.info("service stopped; queue counts: %s",
-                    json.dumps(store.counts(), sort_keys=True))
-    return 0
+          f"({supervisor.workers} worker(s), "
+          f"cache {backend.describe()['root']}, store {store_path})")
+    status = supervisor.run(server)
+    logger.info("service stopped; queue counts: %s",
+                json.dumps(store.counts(), sort_keys=True))
+    return status
 
 
 def command_jobs(arguments: argparse.Namespace) -> int:

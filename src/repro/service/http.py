@@ -2,7 +2,11 @@
 
 The frontend is a :class:`http.server.ThreadingHTTPServer` — no new
 runtime dependency — whose handler closes over a :class:`ServiceState`
-(session, store, optional worker pool).  Routes (all under ``/v1``):
+(session, store, and the supervisor whose workers it reports).  Under
+``python -m repro serve`` it runs in its own forked process; the workers
+are other processes, so everything it reports about them — liveness and
+counters — it reads from the job store's worker registry.  Routes (all
+under ``/v1``):
 
 =========================== ====================================================
 ``POST /v1/jobs``           Submit a job spec; canonicalisation dedups — an
@@ -15,8 +19,9 @@ runtime dependency — whose handler closes over a :class:`ServiceState`
                             job is still queued/running, 500 when it failed.
 ``POST /v1/jobs/{id}/cancel`` Cancel a queued job (running jobs finish).
 ``GET /v1/jobs``            Queue listing with per-state counts.
-``GET /v1/health``          Liveness + queue counts + code version.
-``GET /v1/metrics``         Merged worker-pool observability counters.
+``GET /v1/health``          Liveness, live workers and their pids, queue
+                            counts, code version.
+``GET /v1/metrics``         Merged worker observability counters.
 =========================== ====================================================
 
 Submission canonicalises *before* enqueueing, so bad specs (unknown
@@ -30,13 +35,12 @@ from __future__ import annotations
 import json
 import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import (ParameterValueError, Session, UnknownExperimentError,
                        UnknownParameterError, UnknownSweepError, code_version)
 from repro.service.jobs import JobSpec, JobSpecError, canonicalize
-from repro.service.store import JobStore
-from repro.service.worker import WorkerPool
+from repro.service.store import JobStore, WorkerRecord
 
 logger = logging.getLogger(__name__)
 
@@ -53,13 +57,23 @@ _BAD_SPEC_ERRORS = (JobSpecError, UnknownExperimentError,
 
 
 class ServiceState:
-    """Everything the HTTP handler needs, bundled for closure capture."""
+    """Everything the HTTP handler needs, bundled for closure capture.
+
+    ``supervisor`` is the registry key of the process that forks this
+    service's workers; ``None`` serves the frontend alone (no workers, no
+    worker counters).
+    """
 
     def __init__(self, session: Session, store: JobStore,
-                 pool: Optional[WorkerPool] = None):
+                 supervisor: Optional[str] = None):
         self.session = session
         self.store = store
-        self.pool = pool
+        self.supervisor = supervisor
+
+    def _workers(self) -> List[WorkerRecord]:
+        if self.supervisor is None:
+            return []
+        return self.store.workers(self.supervisor)
 
     # -- operations (HTTP-independent, also used by tests) ------------------------
     def submit(self, payload: Any) -> Tuple[int, Dict[str, Any]]:
@@ -111,20 +125,46 @@ class ServiceState:
                               for record in self.store.jobs()]}
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
+        """Liveness; ``workers`` counts the live workers only, so a dying
+        pool shows here."""
+        live = [worker for worker in self._workers() if worker.alive]
         return 200, {"status": "ok",
                      "code_version": code_version(),
-                     "workers": len(self.pool.workers) if self.pool else 0,
+                     "workers": len(live),
+                     "live_workers": [{"worker": worker.worker_id,
+                                       "pid": worker.pid}
+                                      for worker in live],
                      "counts": self.store.counts()}
 
     def metrics(self) -> Tuple[int, Dict[str, Any]]:
+        """Queue counts plus the counters every worker published.
+
+        ``counters`` sums the per-worker counts (service job outcomes plus
+        the engine's ``cache.*`` events recorded while each worker's
+        tracer was active); ``per_worker`` keeps the breakdown, dead
+        workers included; ``backend.counters`` sums the workers' backend
+        counters (``lock.*``).
+        """
         body: Dict[str, Any] = {"counts": self.store.counts()}
-        if self.pool is not None:
-            body.update(self.pool.metrics())
-        cache = self.session.cache
-        backend = getattr(cache, "backend", None)
+        workers = self._workers()
+        if self.supervisor is not None:
+            body["counters"] = _merged(worker.counters for worker in workers)
+            body["per_worker"] = {worker.worker_id: worker.counters
+                                  for worker in workers}
+        backend = getattr(self.session.cache, "backend", None)
         if backend is not None:
-            body["backend"] = backend.describe()
+            body["backend"] = dict(backend.describe(), counters=_merged(
+                worker.backend_counters for worker in workers))
         return 200, body
+
+
+def _merged(counters: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """Sum counter mappings, keys sorted."""
+    merged: Dict[str, int] = {}
+    for mapping in counters:
+        for name, value in mapping.items():
+            merged[name] = merged.get(name, 0) + value
+    return {name: merged[name] for name in sorted(merged)}
 
 
 class ServiceHandler(BaseHTTPRequestHandler):

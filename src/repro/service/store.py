@@ -1,23 +1,28 @@
 """Sqlite-backed job queue with atomic claim semantics.
 
 One :class:`JobStore` file is the coordination point of the service: the
-HTTP frontend submits into it, N workers (threads or separate processes)
-drain it, and every mutation is one short ``BEGIN IMMEDIATE`` transaction,
-so claims are atomic — two workers can never claim the same job, whatever
-their process topology.  The store keeps:
+HTTP frontend submits into it, N worker processes drain it, and every
+mutation is one short ``BEGIN IMMEDIATE`` transaction, so claims are
+atomic — two workers can never claim the same job, whatever their process
+topology.  The store keeps:
 
 * the job's canonical spec payload (what a worker needs to execute it),
 * its :class:`~repro.service.jobs.JobState` lifecycle with a bounded
   ``attempts`` counter (crash requeue stops at ``max_attempts``),
-* liveness (``worker``, ``heartbeat_unix_s``) so peers can
-  :meth:`requeue_stale` work whose worker died mid-run,
-* and, on completion, the rendered result text — the exact bytes
-  ``GET /v1/jobs/{id}/result`` serves.
+* liveness (``worker``, ``heartbeat_unix_s``) so a supervisor can
+  :meth:`retire_worker` the claims of a worker it saw die, and peers can
+  :meth:`requeue_stale` work whose whole ``serve`` process went silent,
+* on completion, the rendered result text — the exact bytes
+  ``GET /v1/jobs/{id}/result`` serves,
+* and the worker registry: which supervisor forked which worker (pid,
+  alive or exited) and each worker's observability counters, published
+  after every job — the only way they leave a worker process.
 
 Durability choices: WAL journal mode (readers never block the single
 writer), a generous busy timeout instead of hand-rolled retry loops, and a
-fresh connection per operation so the store is safe to share across
-threads without connection pooling.
+fresh connection per operation, so no connection is ever open across a
+``fork`` and the store is safe to share across threads without
+connection pooling.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Union)
 
 from repro.service.jobs import JobState
 
@@ -51,6 +57,14 @@ CREATE TABLE IF NOT EXISTS jobs (
     result TEXT
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, seq);
+CREATE TABLE IF NOT EXISTS workers (
+    worker_id TEXT PRIMARY KEY,
+    supervisor TEXT,
+    pid INTEGER,
+    exited_unix_s REAL,
+    counters TEXT NOT NULL DEFAULT '{}',
+    backend_counters TEXT NOT NULL DEFAULT '{}'
+);
 """
 
 _COLUMNS = ("job_id", "seq", "spec", "state", "attempts", "max_attempts",
@@ -87,6 +101,23 @@ class JobRecord:
             "error": self.error,
             "cache_key": self.cache_key,
         }
+
+
+@dataclass(frozen=True)
+class WorkerRecord:
+    """One worker of the registry: identity, liveness and counters.
+
+    ``counters`` are the worker tracer's (``service.jobs.*`` outcomes and
+    the engine's ``cache.*`` events); ``backend_counters`` those of the
+    worker's own cache backend (``lock.*``).
+    """
+
+    worker_id: str
+    supervisor: Optional[str]
+    pid: Optional[int]
+    alive: bool
+    counters: Dict[str, int]
+    backend_counters: Dict[str, int]
 
 
 def _record(row) -> JobRecord:
@@ -215,18 +246,33 @@ class JobStore:
                 (job_id,))
             return _record(cursor.fetchone())
 
-    def heartbeat(self, job_id: str, worker: str) -> bool:
-        """Refresh the liveness stamp of a running claim."""
+    def heartbeat(self, workers: Iterable[str]) -> int:
+        """Refresh the liveness stamp of every running claim the given
+        workers hold; returns how many claims were refreshed."""
+        workers = list(workers)
+        if not workers:
+            return 0
+        marks = ", ".join("?" * len(workers))
         with self._transaction() as cursor:
             cursor.execute(
                 "UPDATE jobs SET heartbeat_unix_s = ? "
-                "WHERE job_id = ? AND worker = ? AND state = ?",
-                (self._clock(), job_id, worker, JobState.RUNNING))
-            return cursor.rowcount == 1
+                f"WHERE state = ? AND worker IN ({marks})",
+                (self._clock(), JobState.RUNNING, *workers))
+            return cursor.rowcount
 
     def finish(self, job_id: str, worker: str, *, result_text: str,
-               cache_key: Optional[str] = None) -> bool:
-        """Complete a running claim with its rendered result text."""
+               cache_key: Optional[str] = None,
+               counters: Optional[Mapping[str, int]] = None,
+               backend_counters: Optional[Mapping[str, int]] = None
+               ) -> bool:
+        """Complete a running claim with its rendered result text.
+
+        ``counters``/``backend_counters``, when given, are published for
+        ``worker`` in the same transaction (see :meth:`publish_counters`),
+        so a reader that sees the job done also sees it counted.  Returns
+        ``False`` — and publishes nothing — when the claim was no longer
+        held.
+        """
         with self._transaction() as cursor:
             cursor.execute(
                 "UPDATE jobs SET state = ?, result = ?, cache_key = "
@@ -234,7 +280,11 @@ class JobStore:
                 "WHERE job_id = ? AND worker = ? AND state = ?",
                 (JobState.DONE, result_text, cache_key, job_id, worker,
                  JobState.RUNNING))
-            return cursor.rowcount == 1
+            if cursor.rowcount != 1:
+                return False
+            if counters is not None:
+                _publish(cursor, worker, counters, backend_counters or {})
+            return True
 
     def fail(self, job_id: str, worker: str, error: str) -> Optional[str]:
         """Record a failed attempt; requeue while attempts remain.
@@ -269,23 +319,77 @@ class JobStore:
         ``{"requeued": n, "failed": m}``.
         """
         cutoff = self._clock() - stale_after_s
-        outcome = {"requeued": 0, "failed": 0}
+        with self._transaction() as cursor:
+            return _requeue_lost(cursor, "heartbeat_unix_s < ?", (cutoff,))
+
+    # -- worker registry ----------------------------------------------------------
+    def register_worker(self, worker: str, supervisor: str,
+                        pid: int) -> None:
+        """Record a live worker forked by ``supervisor``.
+
+        Counters the new process already published are kept; an id some
+        earlier supervisor registered (a reused pid) starts over.
+        """
         with self._transaction() as cursor:
             cursor.execute(
-                "SELECT job_id, attempts, max_attempts FROM jobs "
-                "WHERE state = ? AND heartbeat_unix_s < ?",
-                (JobState.RUNNING, cutoff))
-            for job_id, attempts, max_attempts in cursor.fetchall():
-                stale = (JobState.FAILED if attempts >= max_attempts
-                         else JobState.QUEUED)
-                cursor.execute(
-                    "UPDATE jobs SET state = ?, worker = NULL, "
-                    "error = COALESCE(error, 'worker lost') "
-                    "WHERE job_id = ? AND state = ?",
-                    (stale, job_id, JobState.RUNNING))
-                outcome["requeued" if stale == JobState.QUEUED
-                        else "failed"] += cursor.rowcount
-        return outcome
+                "INSERT INTO workers (worker_id, supervisor, pid) "
+                "VALUES (?, ?, ?) ON CONFLICT (worker_id) DO UPDATE SET "
+                "counters = CASE WHEN supervisor IS NULL THEN counters "
+                "ELSE '{}' END, "
+                "backend_counters = CASE WHEN supervisor IS NULL "
+                "THEN backend_counters ELSE '{}' END, "
+                "supervisor = excluded.supervisor, pid = excluded.pid, "
+                "exited_unix_s = NULL",
+                (worker, supervisor, int(pid)))
+
+    def retire_worker(self, worker: str, *, lost: bool) -> Dict[str, int]:
+        """Mark ``worker`` exited and release the claims it still holds.
+
+        Its running jobs go back to ``queued`` at once (``failed`` when
+        the attempt budget is spent), without waiting for their heartbeats
+        to go stale.  ``lost=True`` (the worker died rather than drained)
+        adds ``service.workers.lost`` to its counters.  Returns
+        ``{"requeued": n, "failed": m}``.
+        """
+        with self._transaction() as cursor:
+            outcome = _requeue_lost(cursor, "worker = ?", (worker,))
+            cursor.execute("UPDATE workers SET exited_unix_s = ? "
+                           "WHERE worker_id = ?", (self._clock(), worker))
+            if lost:
+                cursor.execute("SELECT counters FROM workers "
+                               "WHERE worker_id = ?", (worker,))
+                row = cursor.fetchone()
+                counters = json.loads(row[0]) if row else {}
+                counters["service.workers.lost"] = \
+                    counters.get("service.workers.lost", 0) + 1
+                cursor.execute("UPDATE workers SET counters = ? "
+                               "WHERE worker_id = ?",
+                               (json.dumps(counters, sort_keys=True), worker))
+            return outcome
+
+    def publish_counters(self, worker: str, counters: Mapping[str, int],
+                         backend_counters: Mapping[str, int]) -> None:
+        """Replace ``worker``'s published counters with these totals."""
+        with self._transaction() as cursor:
+            _publish(cursor, worker, counters, backend_counters)
+
+    def workers(self, supervisor: Optional[str] = None
+                ) -> List[WorkerRecord]:
+        """The registry (optionally one supervisor's workers), by id."""
+        query = ("SELECT worker_id, supervisor, pid, exited_unix_s, "
+                 "counters, backend_counters FROM workers")
+        args: tuple = ()
+        if supervisor is not None:
+            query += " WHERE supervisor = ?"
+            args = (supervisor,)
+        with closing(self._connect()) as connection:
+            rows = connection.execute(query + " ORDER BY worker_id",
+                                      args).fetchall()
+        return [WorkerRecord(worker_id=worker_id, supervisor=owner, pid=pid,
+                             alive=exited is None,
+                             counters=json.loads(counters),
+                             backend_counters=json.loads(backend))
+                for worker_id, owner, pid, exited, counters, backend in rows]
 
     # -- client protocol ----------------------------------------------------------
     def cancel(self, job_id: str) -> bool:
@@ -337,3 +441,36 @@ class JobStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"JobStore(path={str(self.path)!r})"
+
+
+def _requeue_lost(cursor: sqlite3.Cursor, where: str,
+                  args: tuple) -> Dict[str, int]:
+    """Send the running jobs matching ``where`` back to ``queued`` (or to
+    ``failed`` once their attempts are spent), error ``"worker lost"``."""
+    outcome = {"requeued": 0, "failed": 0}
+    cursor.execute(
+        "SELECT job_id, attempts, max_attempts FROM jobs "
+        f"WHERE state = ? AND {where}", (JobState.RUNNING, *args))
+    for job_id, attempts, max_attempts in cursor.fetchall():
+        state = (JobState.FAILED if attempts >= max_attempts
+                 else JobState.QUEUED)
+        cursor.execute(
+            "UPDATE jobs SET state = ?, worker = NULL, "
+            "error = COALESCE(error, 'worker lost') "
+            "WHERE job_id = ? AND state = ?",
+            (state, job_id, JobState.RUNNING))
+        outcome["requeued" if state == JobState.QUEUED
+                else "failed"] += cursor.rowcount
+    return outcome
+
+
+def _publish(cursor: sqlite3.Cursor, worker: str,
+             counters: Mapping[str, int],
+             backend_counters: Mapping[str, int]) -> None:
+    cursor.execute(
+        "INSERT INTO workers (worker_id, counters, backend_counters) "
+        "VALUES (?, ?, ?) ON CONFLICT (worker_id) DO UPDATE SET "
+        "counters = excluded.counters, "
+        "backend_counters = excluded.backend_counters",
+        (worker, json.dumps(dict(counters), sort_keys=True),
+         json.dumps(dict(backend_counters), sort_keys=True)))

@@ -1,9 +1,11 @@
-"""Workers that drain the job store through :class:`repro.api.Session`.
+"""The worker that drains the job store through :class:`repro.api.Session`.
 
-A :class:`Worker` is one claim-execute-finish loop; a :class:`WorkerPool`
-runs N of them as daemon threads in one process (the ``python -m repro
-serve`` topology — several ``serve`` processes pointed at one store and one
-shared cache directory scale the same protocol across machines).
+A :class:`Worker` is one claim-execute-finish loop.  ``python -m repro
+serve`` runs each one in its own forked process under
+:class:`repro.service.supervisor.Supervisor`; several ``serve`` processes
+pointed at one store and one shared cache directory scale the same
+protocol across machines.  A worker is named :func:`worker_identity`
+(``<host>:<pid>``), so no two processes ever act on each other's claims.
 
 Execution path of one claimed job:
 
@@ -16,25 +18,29 @@ Execution path of one claimed job:
   the shared cache as usual.
 
 Each worker owns a :class:`repro.obs.Tracer` activated around its
-executions (tracer activation is thread-local), so cache hit/store
-counters and per-job spans attribute to the worker that did the work;
-:meth:`WorkerPool.metrics` merges them for ``GET /v1/metrics``.
+executions, so cache hit/store counters and per-job spans attribute to the
+worker that did the work.  The tracer's counters and the worker's backend
+counters (``lock.*``) are published to the store after every job — in the
+same transaction that marks the job done — which is how ``GET
+/v1/metrics`` reads them from another process.
 
-Liveness: a background ticker heartbeats the claim while the job computes,
-and every idle loop opportunistically requeues stale claims of *other*
-(crashed) workers — bounded by the job's attempt budget.  Stopping a pool
-is a graceful drain: workers finish the job in hand, claim nothing new,
-and exit.
+Liveness: the supervisor heartbeats the claims of the workers it sees
+alive, and requeues a dead worker's claim as soon as it reaps it.  Every
+idle loop still requeues stale claims of peer ``serve`` processes whose
+heartbeats stopped — bounded by the job's attempt budget.  Stopping a
+worker is a graceful drain: it finishes the job in hand, claims nothing
+new, and returns.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
+import os
+import socket
 import time
 import traceback
-from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.api import Session, sweep_json_text
 from repro.obs import Tracer, activate
@@ -43,6 +49,19 @@ from repro.service.jobs import (DEFAULT_STALE_AFTER_S, JobSpec, JobState,
 from repro.service.store import JobRecord, JobStore
 
 logger = logging.getLogger(__name__)
+
+
+#: The counter a failed attempt bumps, by the state ``JobStore.fail``
+#: returned (``None``: the claim was no longer held).
+_FAIL_COUNTERS = {JobState.FAILED: "service.jobs.failed",
+                  JobState.QUEUED: "service.jobs.retried",
+                  None: "service.jobs.lost_claim"}
+
+
+def worker_identity(pid: Optional[int] = None) -> str:
+    """The worker id of process ``pid`` (default: this one):
+    ``<host>:<pid>``, unique among the processes sharing a store."""
+    return f"{socket.gethostname()}:{os.getpid() if pid is None else pid}"
 
 
 class Worker:
@@ -54,32 +73,31 @@ class Worker:
         The shared job queue.
     session:
         The worker's engine connection.  Workers sharing one cache
-        directory should share one backend (or use the ``"shared"``
-        backend kind) so cross-worker deduplication holds.
+        directory should use the ``"shared"`` backend kind so
+        cross-worker deduplication holds.
     worker_id:
-        Stable identity recorded on claims and heartbeats.
-    poll_interval_s / heartbeat_interval_s / stale_after_s:
-        Idle poll cadence, heartbeat cadence of a running job, and the
-        staleness bound after which peers may requeue a silent claim.
+        Identity recorded on claims; defaults to :func:`worker_identity`.
+    poll_interval_s / stale_after_s:
+        Idle poll cadence, and the staleness bound after which a silent
+        claim of a peer process is requeued.
     """
 
-    def __init__(self, store: JobStore, session: Session, worker_id: str, *,
+    def __init__(self, store: JobStore, session: Session,
+                 worker_id: Optional[str] = None, *,
                  poll_interval_s: float = 0.1,
-                 heartbeat_interval_s: float = 2.0,
                  stale_after_s: float = DEFAULT_STALE_AFTER_S):
         self.store = store
         self.session = session
-        self.worker_id = worker_id
+        self.worker_id = worker_id or worker_identity()
         self.poll_interval_s = poll_interval_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.stale_after_s = stale_after_s
-        self.tracer = Tracer(name=f"worker:{worker_id}")
+        self.tracer = Tracer(name=f"worker:{self.worker_id}")
 
     # -- the loop -----------------------------------------------------------------
-    def run_forever(self, stop: threading.Event) -> None:
-        """Drain the store until ``stop`` is set (graceful: the job in
+    def run_forever(self, stop: Callable[[], bool]) -> None:
+        """Drain the store until ``stop()`` is true (graceful: the job in
         hand always completes; only *claiming* stops)."""
-        while not stop.is_set():
+        while not stop():
             record = self.store.claim(self.worker_id)
             if record is None:
                 recovered = self.store.requeue_stale(self.stale_after_s)
@@ -87,8 +105,9 @@ class Worker:
                     self.tracer.count("service.jobs.stale_recovered",
                                       recovered["requeued"]
                                       + recovered["failed"])
+                    self._publish()
                     continue
-                stop.wait(self.poll_interval_s)
+                time.sleep(self.poll_interval_s)
                 continue
             self.execute(record)
 
@@ -97,29 +116,51 @@ class Worker:
         self.tracer.count("service.jobs.claimed")
         spec = spec_from_canonical(record.spec)
         try:
-            with self._heartbeats(record.job_id), activate(self.tracer), \
+            with activate(self.tracer), \
                     self.tracer.span(f"job:{record.job_id[:12]}", kind="job",
                                      job_kind=spec.kind, target=spec.name):
                 result_text, cache_key, computed = self._execute_spec(spec)
         except Exception as error:
             detail = "".join(traceback.format_exception_only(error)).strip()
             state = self.store.fail(record.job_id, self.worker_id, detail)
-            self.tracer.count("service.jobs.failed"
-                              if state == JobState.FAILED
-                              else "service.jobs.retried")
+            self.tracer.count(_FAIL_COUNTERS[state])
+            self._publish()
             logger.warning("worker %s: job %s attempt %d/%d failed (%s): %s",
                            self.worker_id, record.job_id[:12],
                            record.attempts, record.max_attempts,
                            state or "lost claim", detail)
             return
-        self.store.finish(record.job_id, self.worker_id,
-                          result_text=result_text, cache_key=cache_key)
-        self.tracer.count("service.jobs.done")
-        self.tracer.count("service.jobs.computed" if computed
-                          else "service.jobs.served_from_cache")
+        outcome = ("service.jobs.done", "service.jobs.computed" if computed
+                   else "service.jobs.served_from_cache")
+        counters = self.tracer.counters.as_dict()
+        for name in outcome:
+            counters[name] = counters.get(name, 0) + 1
+        if not self.store.finish(record.job_id, self.worker_id,
+                                 result_text=result_text,
+                                 cache_key=cache_key, counters=counters,
+                                 backend_counters=self._backend_counters()):
+            self.tracer.count("service.jobs.lost_claim")
+            self._publish()
+            logger.warning("worker %s: job %s finished after its claim was "
+                           "lost; result discarded", self.worker_id,
+                           record.job_id[:12])
+            return
+        for name in outcome:
+            self.tracer.count(name)
         logger.info("worker %s: job %s done (%s)", self.worker_id,
                     record.job_id[:12],
                     "computed" if computed else "cache")
+
+    def _publish(self) -> None:
+        """Publish this worker's counters to the store."""
+        self.store.publish_counters(self.worker_id,
+                                    self.tracer.counters.as_dict(),
+                                    self._backend_counters())
+
+    def _backend_counters(self) -> Dict[str, int]:
+        backend = getattr(self.session.cache, "backend", None)
+        return ({} if backend is None
+                else dict(backend.describe()["counters"]))
 
     def _execute_spec(self, spec: JobSpec
                       ) -> Tuple[str, Optional[str], bool]:
@@ -143,99 +184,3 @@ class Worker:
         result = self.session.sweep(sweep)
         return sweep_json_text(result), None, result.computed_points > 0
 
-    @contextmanager
-    def _heartbeats(self, job_id: str) -> Iterator[None]:
-        """Tick the claim's heartbeat while the body computes."""
-        done = threading.Event()
-
-        def tick() -> None:
-            while not done.wait(self.heartbeat_interval_s):
-                try:
-                    self.store.heartbeat(job_id, self.worker_id)
-                except Exception:  # pragma: no cover - liveness best effort
-                    pass
-
-        ticker = threading.Thread(target=tick, daemon=True,
-                                  name=f"heartbeat:{self.worker_id}")
-        ticker.start()
-        try:
-            yield
-        finally:
-            done.set()
-            ticker.join(timeout=5.0)
-
-
-class WorkerPool:
-    """N workers as daemon threads over one store.
-
-    Parameters
-    ----------
-    store:
-        The shared job queue.
-    session_factory:
-        Zero-argument callable building one :class:`Session` per worker
-        (give every session the same shared backend or cache directory).
-    workers:
-        Worker count; ``0`` is legal (a frontend-only process).
-    worker_options:
-        Passed through to every :class:`Worker`.
-    """
-
-    def __init__(self, store: JobStore,
-                 session_factory: Callable[[], Session], *,
-                 workers: int = 2, **worker_options: Any):
-        self.store = store
-        self.workers: List[Worker] = [
-            Worker(store, session_factory(), f"worker-{index}",
-                   **worker_options)
-            for index in range(workers)]
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-
-    def start(self) -> None:
-        """Start every worker thread (idempotent per pool)."""
-        if self._threads:
-            raise RuntimeError("WorkerPool already started")
-        self._stop.clear()
-        for worker in self.workers:
-            thread = threading.Thread(target=worker.run_forever,
-                                      args=(self._stop,), daemon=True,
-                                      name=worker.worker_id)
-            thread.start()
-            self._threads.append(thread)
-
-    def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Graceful drain: stop claiming, finish jobs in hand, join."""
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads = []
-
-    def wait_idle(self, timeout: float = 60.0,
-                  poll_interval_s: float = 0.05) -> bool:
-        """Block until no job is queued or running (or ``timeout``)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            counts = self.store.counts()
-            if counts[JobState.QUEUED] == 0 \
-                    and counts[JobState.RUNNING] == 0:
-                return True
-            time.sleep(poll_interval_s)
-        return False
-
-    def metrics(self) -> Dict[str, Any]:
-        """Merged observability counters of every worker tracer.
-
-        ``counters`` sums the per-worker counts (service job outcomes plus
-        the engine's ``cache.*`` events recorded while each worker's
-        tracer was active); ``per_worker`` keeps the breakdown.
-        """
-        merged: Dict[str, int] = {}
-        per_worker: Dict[str, Dict[str, int]] = {}
-        for worker in self.workers:
-            counts = worker.tracer.counters.as_dict()
-            per_worker[worker.worker_id] = counts
-            for name, value in counts.items():
-                merged[name] = merged.get(name, 0) + value
-        return {"counters": {name: merged[name] for name in sorted(merged)},
-                "per_worker": per_worker}

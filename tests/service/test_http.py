@@ -1,36 +1,53 @@
-"""End-to-end tests of the service HTTP API (real server, real workers)."""
+"""End-to-end tests of the service HTTP API (real server, real workers).
+
+The workers run on threads of the test process, each with its own backend
+over one shared cache directory, registered under the frontend's
+supervisor key — everything the frontend sees of a worker process.  The
+forked process tree itself is tested in ``test_supervisor.py``.
+"""
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro.api import Session, resolve_backend
 from repro.service import (JobState, JobStore, ServiceClient, ServiceError,
-                           ServiceState, WorkerPool, make_server)
+                           ServiceState, Worker, make_server)
+
+SUPERVISOR = "test-supervisor"
 
 
 @pytest.fixture()
 def service(tmp_path):
     """A full service (2 workers) on an ephemeral port; yields the client."""
-    backend = resolve_backend("shared", tmp_path / "cache")
+    root = tmp_path / "cache"
     store = JobStore(tmp_path / "jobs.sqlite")
-    session = Session(backend=backend)
-    pool = WorkerPool(store, lambda: Session(backend=backend), workers=2,
-                      poll_interval_s=0.02)
-    server = make_server(ServiceState(session, store, pool))
+    session = Session(backend=resolve_backend("shared", root))
+    server = make_server(ServiceState(session, store, SUPERVISOR))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    pool.start()
+    workers = [Worker(store, Session(backend=resolve_backend("shared", root)),
+                      f"w{index}", poll_interval_s=0.02)
+               for index in range(2)]
+    stop = threading.Event()
+    threads = [threading.Thread(target=worker.run_forever,
+                                args=(stop.is_set,), daemon=True)
+               for worker in workers]
+    for worker, worker_thread in zip(workers, threads):
+        store.register_worker(worker.worker_id, SUPERVISOR, os.getpid())
+        worker_thread.start()
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
     client.session = session
     client.store = store
-    client.pool = pool
     try:
         yield client
     finally:
-        pool.stop()
+        stop.set()
+        for worker_thread in threads:
+            worker_thread.join(timeout=30)
         server.shutdown()
         server.server_close()
 
@@ -89,10 +106,33 @@ class TestSmoke:
         health = service.health()
         assert health["status"] == "ok"
         assert health["workers"] == 2
+        assert health["live_workers"] == [
+            {"worker": "w0", "pid": os.getpid()},
+            {"worker": "w1", "pid": os.getpid()}]
         assert set(health["counts"]) == set(JobState.ALL)
         metrics = service.metrics()
         assert metrics["backend"]["kind"] == "shared-directory"
-        assert "per_worker" in metrics
+        assert set(metrics["per_worker"]) == {"w0", "w1"}
+
+    def test_health_reports_only_live_workers(self, service):
+        service.store.retire_worker("w0", lost=True)
+        health = service.health()
+        assert health["workers"] == 1
+        assert [worker["worker"] for worker in health["live_workers"]] \
+            == ["w1"]
+        counters = service.metrics()["counters"]
+        assert counters["service.workers.lost"] == 1
+
+    def test_metrics_merge_the_counters_workers_published(self, service):
+        receipt = service.submit(RUN_PAYLOAD)
+        service.wait(receipt["job_id"], timeout_s=60)
+        metrics = service.metrics()
+        per_worker = metrics["per_worker"]
+        assert sum(counts.get("service.jobs.done", 0)
+                   for counts in per_worker.values()) == 1
+        assert metrics["counters"]["service.jobs.done"] == 1
+        assert metrics["counters"]["cache.store"] == 1
+        assert metrics["backend"]["counters"]["lock.acquired"] == 1
 
     def test_listing_counts_jobs(self, service):
         service.submit(RUN_PAYLOAD)

@@ -1,10 +1,18 @@
-"""Tests of the sqlite job store: claims, retries, staleness, dedup."""
+"""Tests of the sqlite job store: claims, retries, staleness, dedup and
+the worker registry."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.service import JobState, JobStore
+from repro.service import JobState, JobStore, worker_identity
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 JOB = {"kind": "run", "experiment": "fig3_radio", "params": {}, "seed": 1,
        "code_version": "v"}
@@ -186,7 +194,7 @@ class TestStaleRequeue:
         _submit(store)
         store.claim("w")
         now[0] += 25
-        assert store.heartbeat("j1", "w") is True
+        assert store.heartbeat(["w"]) == 1
         now[0] += 25  # 50s since claim, 25s since heartbeat
         assert store.requeue_stale(stale_after_s=30)["requeued"] == 0
 
@@ -205,4 +213,107 @@ class TestStaleRequeue:
     def test_heartbeat_from_a_stranger_is_rejected(self, store):
         _submit(store)
         store.claim("w0")
-        assert store.heartbeat("j1", "intruder") is False
+        assert store.heartbeat(["intruder"]) == 0
+        assert store.heartbeat([]) == 0
+
+
+#: Run in a second interpreter: act on job ``j1`` as this process's worker.
+STRANGER = """
+import json, sys
+from repro.service import JobStore, worker_identity
+store = JobStore(sys.argv[1])
+me = worker_identity()
+print(json.dumps([me, store.heartbeat([me]),
+                  store.finish("j1", me, result_text="stolen"),
+                  store.fail("j1", me, "boom")]))
+"""
+
+
+class TestWorkerIdentity:
+    def test_another_process_cannot_touch_a_claim(self, tmp_path):
+        """Every ``serve`` process used to name its first worker
+        ``worker-0``, so two processes on one store could heartbeat,
+        finish or fail each other's claims.  Ids now carry the pid."""
+        store = JobStore(tmp_path / "jobs.sqlite")
+        _submit(store)
+        me = worker_identity()
+        store.claim(me)
+        completed = subprocess.run(
+            [sys.executable, "-c", STRANGER, str(store.path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert completed.returncode == 0, completed.stderr
+        stranger, beats, finished, failed = json.loads(completed.stdout)
+        assert stranger != me
+        assert (beats, finished, failed) == (0, False, None)
+        record = store.get("j1")
+        assert (record.state, record.worker) == (JobState.RUNNING, me)
+        assert store.finish("j1", me, result_text="mine") is True
+
+
+class TestWorkerRegistry:
+    def test_retiring_a_dead_worker_requeues_its_claim_at_once(self, store):
+        _submit(store)
+        store.register_worker("w0", "sup", 100)
+        store.claim("w0")
+        assert store.retire_worker("w0", lost=True) == {"requeued": 1,
+                                                        "failed": 0}
+        record = store.get("j1")
+        assert record.state == JobState.QUEUED
+        assert record.error == "worker lost"
+        [worker] = store.workers("sup")
+        assert worker.alive is False
+        assert worker.counters == {"service.workers.lost": 1}
+
+    def test_retiring_respects_the_attempt_budget(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite", max_attempts=1)
+        _submit(store)
+        store.claim("w0")
+        assert store.retire_worker("w0", lost=True) == {"requeued": 0,
+                                                        "failed": 1}
+        assert store.get("j1").state == JobState.FAILED
+
+    def test_a_drained_worker_is_not_lost(self, store):
+        store.register_worker("w0", "sup", 100)
+        store.publish_counters("w0", {"service.jobs.done": 2}, {})
+        assert store.retire_worker("w0", lost=False) == {"requeued": 0,
+                                                         "failed": 0}
+        [worker] = store.workers()
+        assert (worker.alive, worker.counters) == \
+            (False, {"service.jobs.done": 2})
+
+    def test_registry_is_per_supervisor(self, store):
+        store.register_worker("a:1", "sup-a", 1)
+        store.register_worker("b:2", "sup-b", 2)
+        assert [w.worker_id for w in store.workers("sup-a")] == ["a:1"]
+        assert [w.worker_id for w in store.workers()] == ["a:1", "b:2"]
+
+    def test_registration_keeps_counters_the_worker_already_published(
+            self, store):
+        store.publish_counters("w0", {"service.jobs.done": 1},
+                               {"lock.acquired": 1})
+        store.register_worker("w0", "sup", 100)
+        [worker] = store.workers("sup")
+        assert worker.counters == {"service.jobs.done": 1}
+        assert worker.backend_counters == {"lock.acquired": 1}
+
+    def test_a_reused_id_starts_over(self, store):
+        store.register_worker("w0", "old", 100)
+        store.publish_counters("w0", {"service.jobs.done": 5}, {})
+        store.retire_worker("w0", lost=False)
+        store.register_worker("w0", "new", 100)
+        [worker] = store.workers()
+        assert (worker.supervisor, worker.alive, worker.counters) == \
+            ("new", True, {})
+
+    def test_finish_publishes_counters_only_when_it_finishes(self, store):
+        _submit(store)
+        store.claim("w0")
+        assert store.finish("j1", "w1", result_text="x",
+                            counters={"service.jobs.done": 1}) is False
+        assert store.workers() == []
+        assert store.finish("j1", "w0", result_text="x",
+                            counters={"service.jobs.done": 1},
+                            backend_counters={"lock.acquired": 1}) is True
+        [worker] = store.workers()
+        assert worker.counters == {"service.jobs.done": 1}

@@ -1,12 +1,17 @@
-"""Tests of the worker pool: execution, dedup, crash requeue, drain."""
+"""Tests of the worker loop: execution, dedup, retries, lost claims and
+the counters a worker publishes (the process topology around it is
+tested in ``test_supervisor.py``)."""
 
+import os
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.api import Session, resolve_backend
-from repro.service import JobSpec, JobState, JobStore, Worker, WorkerPool
-from repro.service import canonicalize
+from repro.service import JobSpec, JobState, JobStore, Worker
+from repro.service import canonicalize, worker_identity
 
 
 def submit(store, session, spec):
@@ -82,26 +87,79 @@ class TestExecute:
         assert store.result_text(job) == '{"stub": true}'
 
 
+class TestLostClaims:
+    """A claim released under a running job (its worker was presumed
+    dead) must count ``service.jobs.lost_claim`` — never done, computed or
+    retried."""
+
+    def test_finishing_a_lost_claim_counts_lost_claim(self, store):
+        job = submit_run_stub(store, "released")
+        session = _ReleasingSession(store, "w0")
+        worker = Worker(store, session, "w0")
+        worker.execute(store.claim("w0"))
+        counters = worker.tracer.counters.as_dict()
+        assert counters["service.jobs.lost_claim"] == 1
+        assert "service.jobs.done" not in counters
+        assert "service.jobs.computed" not in counters
+        assert store.get(job).state == JobState.QUEUED
+        assert store.result_text(job) is None
+        assert _published(store, "w0") == counters
+
+    def test_failing_a_lost_claim_counts_lost_claim(self, store):
+        submit_run_stub(store, "released-then-broken")
+        session = _ReleasingSession(store, "w0", crash=True)
+        worker = Worker(store, session, "w0")
+        worker.execute(store.claim("w0"))
+        counters = worker.tracer.counters.as_dict()
+        assert counters["service.jobs.lost_claim"] == 1
+        assert "service.jobs.retried" not in counters
+        assert "service.jobs.failed" not in counters
+
+
+class TestPublishedCounters:
+    def test_done_is_published_with_the_job(self, backend, store):
+        session = Session(backend=backend)
+        submit(store, session, JobSpec(kind="run", name="fig3_radio",
+                                       seed=9))
+        worker = Worker(store, session, "w0")
+        worker.execute(store.claim("w0"))
+        [record] = store.workers()
+        assert record.counters == worker.tracer.counters.as_dict()
+        assert record.counters["service.jobs.done"] == 1
+        assert record.counters["service.jobs.computed"] == 1
+        assert record.backend_counters == {"lock.acquired": 1}
+
+    def test_worker_ids_name_the_host_and_the_process(self, store):
+        expected = f"{socket.gethostname()}:{os.getpid()}"
+        assert worker_identity() == expected
+        assert worker_identity(7) == f"{socket.gethostname()}:7"
+        assert Worker(store, _SlowSession(0.0)).worker_id == expected
+
+
 class TestPool:
     def test_two_workers_drain_disjointly_with_no_recompute(
-            self, backend, store):
-        """The acceptance race: 2 workers, one shared backend, several jobs
-        deduping onto common cache keys — every job done, each claimed
-        once, each distinct computation computed once."""
-        session = Session(backend=backend)
+            self, tmp_path, store):
+        """The acceptance race: 2 workers, each with its own backend over
+        one shared cache directory (as worker processes have), several
+        jobs — every job done, each claimed once, each distinct
+        computation computed once."""
+        root = tmp_path / "cache"
+        session = Session(backend=resolve_backend("shared", root))
         jobs = []
         for seed in (11, 12, 13, 14):
             jobs.append(submit(store, session,
                                JobSpec(kind="run", name="fig3_radio",
                                        seed=seed)))
-        pool = WorkerPool(store, lambda: Session(backend=backend),
-                          workers=2, poll_interval_s=0.02)
-        pool.start()
-        try:
-            assert pool.wait_idle(timeout=120)
-        finally:
-            pool.stop()
-        counters = pool.metrics()["counters"]
+        workers = [Worker(store,
+                          Session(backend=resolve_backend("shared", root)),
+                          f"w{index}", poll_interval_s=0.02)
+                   for index in range(2)]
+        with run_in_threads(workers):
+            assert wait_idle(store, timeout_s=120)
+        counters = {}
+        for record in store.workers():
+            for name, value in record.counters.items():
+                counters[name] = counters.get(name, 0) + value
         assert counters["service.jobs.done"] == len(jobs)
         assert counters["service.jobs.claimed"] == len(jobs)
         assert counters["service.jobs.computed"] == len(jobs)
@@ -111,47 +169,61 @@ class TestPool:
             assert record.state == JobState.DONE
             assert record.attempts == 1  # claimed exactly once
 
-    def test_graceful_drain_finishes_the_job_in_hand(self, store):
-        session = _SlowSession(delay_s=0.4)
-        job = submit_run_stub(store, "slow")
-        pool = WorkerPool(store, lambda: session, workers=1,
-                          poll_interval_s=0.02)
-        pool.start()
-        deadline = time.monotonic() + 10
-        while store.get(job).state != JobState.RUNNING:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        pool.stop()  # drain while mid-job
-        assert store.get(job).state == JobState.DONE
-
-    def test_crashed_worker_claim_is_requeued_and_finished(self, tmp_path):
+    def test_idle_workers_requeue_stale_claims_of_peers(self, tmp_path):
+        """A peer ``serve`` process that went silent: its claim is
+        requeued once its heartbeat is stale, and finished here."""
         now = [1000.0]
         store = JobStore(tmp_path / "jobs.sqlite", clock=lambda: now[0])
         job = submit_run_stub(store, "orphaned")
-        store.claim("ghost-worker")  # a worker that died silently
+        store.claim("ghost-worker")
         now[0] += 120
-        pool = WorkerPool(store, lambda: _SlowSession(delay_s=0.0),
-                          workers=1, poll_interval_s=0.02,
-                          stale_after_s=30)
-        pool.start()
-        try:
-            assert pool.wait_idle(timeout=30)
-        finally:
-            pool.stop()
+        worker = Worker(store, _SlowSession(delay_s=0.0), "w0",
+                        poll_interval_s=0.02, stale_after_s=30)
+        with run_in_threads([worker]):
+            assert wait_idle(store, timeout_s=30)
         record = store.get(job)
         assert record.state == JobState.DONE
         assert record.attempts == 2  # ghost's claim plus the real one
-        counters = pool.metrics()["counters"]
-        assert counters["service.jobs.stale_recovered"] == 1
+        assert worker.tracer.counters.as_dict()[
+            "service.jobs.stale_recovered"] == 1
 
-    def test_heartbeats_flow_while_a_job_computes(self, store):
-        session = _SlowSession(delay_s=0.5)
-        job = submit_run_stub(store, "beating")
-        worker = Worker(store, session, "w0", heartbeat_interval_s=0.05)
-        claimed = store.claim("w0")
-        first_beat = claimed.heartbeat_unix_s
-        worker.execute(claimed)
-        assert store.get(job).heartbeat_unix_s > first_beat
+
+class run_in_threads:
+    """Run workers' loops on threads; leaving the block stops them
+    gracefully (each finishes its job in hand)."""
+
+    def __init__(self, workers):
+        self.stop = threading.Event()
+        self.threads = [threading.Thread(target=worker.run_forever,
+                                         args=(self.stop.is_set,),
+                                         daemon=True)
+                        for worker in workers]
+
+    def __enter__(self):
+        for thread in self.threads:
+            thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop.set()
+        for thread in self.threads:
+            thread.join(timeout=30)
+
+
+def wait_idle(store, timeout_s):
+    """Block until no job is queued or running (or the timeout)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        counts = store.counts()
+        if counts[JobState.QUEUED] == 0 and counts[JobState.RUNNING] == 0:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def _published(store, worker_id):
+    return next(record.counters for record in store.workers()
+                if record.worker_id == worker_id)
 
 
 # -- stub sessions (duck-typed against the Session surface the worker uses) ----
@@ -187,6 +259,22 @@ class _CrashingSession(_StubSessionBase):
     def run(self, name, *, seed=None, **params):
         if self.remaining > 0:
             self.remaining -= 1
+            raise RuntimeError("synthetic crash")
+        return _StubResult()
+
+
+class _ReleasingSession(_StubSessionBase):
+    """Runs while the claim is released under it — what the supervisor
+    does when it presumes the worker dead."""
+
+    def __init__(self, store, worker_id, crash=False):
+        self.store = store
+        self.worker_id = worker_id
+        self.crash = crash
+
+    def run(self, name, *, seed=None, **params):
+        self.store.retire_worker(self.worker_id, lost=True)
+        if self.crash:
             raise RuntimeError("synthetic crash")
         return _StubResult()
 
