@@ -42,6 +42,7 @@ from repro.runner.params import (ParamSchema, ParamSpec, ParameterValueError,
 from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
                                    UnknownExperimentError, default_registry)
 from repro.runner.result import RunResult
+from repro.sim.cpus import share_cpus
 from repro.sweep.artifacts import optimize_json_text, sweep_json_text
 from repro.sweep.catalog import (UnknownOptimizeError, UnknownSweepError,
                                  get_optimize, get_sweep)
@@ -75,6 +76,7 @@ __all__ = [
     "DEFAULT_SEED",
     "code_version",
     "preload",
+    "share_cpus",
     "canonical_params",
     "parse_param_arg",
     "sweep_json_text",

@@ -58,6 +58,17 @@ scalar implementation drawing from the generators directly, is kept as
 the bit-equality oracle the test suite compares the batched kernel
 against; no runtime path calls it.
 
+Lane-parallel split
+-------------------
+Because lanes never interact, one call may split them into contiguous
+chunks of about equal device count: chunk 0 runs in the calling process,
+every other chunk in an ``os.fork()`` child that inherits the lanes
+copy-on-write and pipes back its pickled summaries.  The chunk count is
+capped by the lanes, the CPUs the process owns
+(:func:`repro.sim.cpus.owned_cpus`: a pool or service worker owns its
+share of them) and a minimum of work per chunk; a process running a
+second Python thread never splits.
+
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
 float-time ties between distinct devices require the continuous stagger
@@ -77,10 +88,17 @@ reports ``collisions == 0`` without tracking the medium per device pair.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate, islice
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +112,7 @@ from repro.obs.tracer import current_tracer
 from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
+from repro.sim.cpus import owned_cpus
 from repro.sim.random import RandomStreams
 
 #: Event kinds of the reference implementation's compact queue.
@@ -319,7 +338,10 @@ class BatchedChannelSimulator:
 
         Returns one :class:`repro.network.scenario.SimulationSummary` per
         lane, in lane order — bit-for-bit what a single-lane run of each
-        lane would produce.
+        lane would produce.  That independence lets a large call split
+        its lanes into contiguous chunks over forked processes, one per
+        CPU this process owns (:func:`_chunk_count`); the summaries and
+        the trace's counters are the same for any chunk count.
 
         Raises
         ------
@@ -336,27 +358,40 @@ class BatchedChannelSimulator:
                 "raw bit streams, so the batched kernel's replay no longer "
                 "matches Generator.integers/uniform/random; simulate with "
                 'backend="event" instead')
-        return self._run_batched(superframes)
+        started = perf_counter()
+        counts = [len(lane.nodes) for lane in self.lanes]
+        chunks = _lane_chunks(counts, _chunk_count(len(counts), sum(counts),
+                                                   superframes))
+        if len(chunks) == 1:
+            results = [self._run_batched(self.lanes, superframes)]
+        else:
+            results = _run_forked(self, chunks, superframes)
+        _record_kernel_spans(results, perf_counter() - started)
+        return [summary for summaries, _, _ in results
+                for summary in summaries]
 
     # -- the batched fast path ------------------------------------------------
-    def _run_batched(self, superframes: int) -> List:
+    def _run_batched(self, lanes: Sequence[ChannelLane],
+                     superframes: int) -> Tuple[List, List[float],
+                                                Dict[str, int]]:
+        """Simulate ``lanes`` in lockstep in this process.
+
+        Returns the lanes' summaries, the busy seconds of the four kernel
+        phases (:data:`KERNEL_PHASES` order) and the work counters of
+        :data:`KERNEL_COUNTERS`.  Phase time accumulates in plain floats
+        — the round loop and the per-lane event merge allocate nothing
+        for telemetry — and :meth:`run` turns it into spans.
+        """
         from repro.network.routing import depth_breakdown, make_lane_sources
         from repro.network.scenario import SimulationSummary
         from repro.network.traffic import SaturatedTraffic
 
-        # Telemetry: per-phase elapsed time accumulates in plain floats
-        # guarded on one ``tracer.enabled`` check — the round loop and the
-        # per-lane event merge allocate no span objects even when tracing —
-        # and the four kernel phases are emitted once at the end.
-        tracer = current_tracer()
-        tracing = tracer.enabled
-        t_setup = perf_counter() if tracing else 0.0
+        t_setup = perf_counter()
 
         constants = self.constants
         params = self.csma_params
         profile = self.profile
         config = self.config
-        lanes = self.lanes
 
         # ---- timing constants (all in seconds, shared by every lane) -------
         slot = constants.unit_backoff_period_s
@@ -522,22 +557,20 @@ class BatchedChannelSimulator:
 
         pe_list = pe_flat  # python floats for the scalar loop
 
-        if tracing:
-            setup_s = perf_counter() - t_setup
-            grid_s = merge_s = 0.0
-            t_phase = 0.0
-            rounds = 0
+        setup_s = perf_counter() - t_setup
+        grid_s = merge_s = 0.0
+        t_phase = 0.0
+        rounds = 0
 
         for round_index in range(superframes):
             # Grid time spans from here to the phase-B marker; a round that
             # exits early (``continue``) leaves ``t_phase`` open and the
             # next round (or the post-loop close) absorbs the remainder.
-            if tracing:
-                now_t = perf_counter()
-                if t_phase:
-                    grid_s += now_t - t_phase
-                t_phase = now_t
-                rounds += 1
+            now_t = perf_counter()
+            if t_phase:
+                grid_s += now_t - t_phase
+            t_phase = now_t
+            rounds += 1
             beacon_at = round_index * interval
             cap_end = beacon_at + sf_duration
             latest = cap_end - margin
@@ -635,10 +668,9 @@ class BatchedChannelSimulator:
             event_times = cca_start[scheduled] + slot
 
             # ---- phase B: per-lane CCA/TX event merge ----------------------
-            if tracing:
-                t_merge = perf_counter()
-                grid_s += t_merge - t_phase
-                t_phase = 0.0
+            t_merge = perf_counter()
+            grid_s += t_merge - t_phase
+            t_phase = 0.0
             event_lanes = lane_of[event_devices]
             order = np.lexsort((event_times, event_lanes))
             static_times = event_times[order].tolist()
@@ -931,13 +963,11 @@ class BatchedChannelSimulator:
                 dead[kill] = True
             if end_dev:
                 dev_now[end_dev] = end_time
-            if tracing:
-                merge_s += perf_counter() - t_merge
+            merge_s += perf_counter() - t_merge
 
-        if tracing:
-            t_ledger = perf_counter()
-            if t_phase:
-                grid_s += t_ledger - t_phase
+        t_ledger = perf_counter()
+        if t_phase:
+            grid_s += t_ledger - t_phase
 
         # ---- final pre-beacon wake at the horizon --------------------------
         ids = np.nonzero(~dead)[0]
@@ -1042,20 +1072,189 @@ class BatchedChannelSimulator:
                 by_depth=by_depth,
             ))
 
-        if tracing:
-            ledger_s = perf_counter() - t_ledger
-            kernel = tracer.record_span(
-                "kernel:batched", setup_s + grid_s + merge_s + ledger_s,
-                kind="kernel",
-                counters={"lanes": lane_count, "devices": n,
-                          "rounds": rounds})
-            tracer.record_span("setup", setup_s, parent=kernel)
-            tracer.record_span("beacon_grid", grid_s, parent=kernel,
-                               counters={"attempts": int(attempted.sum())})
-            tracer.record_span("contention_merge", merge_s, parent=kernel,
-                               counters={"cca": int(cca.sum())})
-            tracer.record_span("energy_ledger", ledger_s, parent=kernel)
-        return summaries
+        seconds = [setup_s, grid_s, merge_s, perf_counter() - t_ledger]
+        counters = {"lanes": lane_count, "devices": n, "rounds": rounds,
+                    "attempts": int(attempted.sum()), "cca": int(cca.sum())}
+        return summaries, seconds, counters
+
+
+# ---------------------------------------------------------------------------
+# lane-parallel split over forked processes
+# ---------------------------------------------------------------------------
+
+#: Kernel phases, in the order :meth:`BatchedChannelSimulator._run_batched`
+#: reports their busy seconds.
+KERNEL_PHASES = ("setup", "beacon_grid", "contention_merge", "energy_ledger")
+#: Work counters of one kernel call: ``rounds`` is the beacon intervals
+#: simulated, the others are totals over the lanes.
+KERNEL_COUNTERS = ("lanes", "devices", "rounds", "attempts", "cca")
+
+#: Device-superframes each chunk of a split call must carry.  On a 2-core
+#: x86 box a split costs ~5 ms (fork, copy-on-write faults, result
+#: pickle, reap) plus some set-up per device, against 2-4 us of kernel
+#: time per device-superframe.  Two chunks of this size measured 0.75x
+#: to 1.55x, depending on the channel load (1600 devices x 10
+#: superframes: 1.25x to 1.4x); the paper's 1600 x 50 gains 1.5x to 1.8x.
+#: Small kernels (tests, quick sweeps, a scaled-down channel) stay in
+#: one process.
+MIN_CHUNK_WORK = 8_000
+
+
+def _chunk_count(lanes: int, devices: int, superframes: int) -> int:
+    """How many processes one kernel call splits its lanes over.
+
+    Never more than the lanes, the CPUs this process owns
+    (:func:`repro.sim.cpus.owned_cpus`, the seam tests patch to force a
+    split), or the chunks that each carry :data:`MIN_CHUNK_WORK`.  A
+    process running a second Python thread stays in one chunk: a lock
+    that thread holds at the fork would never be released in the child.
+    Native OpenBLAS threads do not count — OpenBLAS stops its pool in a
+    ``pthread_atfork`` handler, so the child never inherits a held BLAS
+    lock.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(lanes, owned_cpus(),
+                      devices * superframes // MIN_CHUNK_WORK))
+
+
+def _lane_chunks(counts: Sequence[int],
+                 chunks: int) -> List[Tuple[int, int]]:
+    """Split lanes with ``counts`` devices into ``chunks`` contiguous
+    ``(start, stop)`` ranges of roughly equal device count."""
+    cumulative = list(accumulate(counts, initial=0))
+    lanes = len(counts)
+    edges = [0]
+    for index in range(1, chunks):
+        target = cumulative[-1] * index / chunks
+        edges.append(min(range(edges[-1] + 1, lanes - chunks + index + 1),
+                         key=lambda edge: abs(cumulative[edge] - target)))
+    edges.append(lanes)
+    return list(zip(edges, edges[1:]))
+
+
+def _record_kernel_spans(results: List, wall_s: float) -> None:
+    """Record one ``kernel:batched`` span over the chunks' ``results``.
+
+    The kernel span's duration is the call's wall time ``wall_s``; each
+    phase span's is its busy seconds summed over the chunks.  The
+    counters are the unsplit run's: ``rounds`` is the most any chunk
+    simulated, the others add up.
+    """
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return
+    totals = {name: sum(counters[name] for _, _, counters in results)
+              for name in KERNEL_COUNTERS}
+    totals["rounds"] = max(counters["rounds"] for _, _, counters in results)
+    kernel = tracer.record_span(
+        "kernel:batched", wall_s, kind="kernel",
+        counters={name: totals[name] for name in ("lanes", "devices",
+                                                  "rounds")})
+    phase_counters = {"beacon_grid": {"attempts": totals["attempts"]},
+                      "contention_merge": {"cca": totals["cca"]}}
+    for index, phase in enumerate(KERNEL_PHASES):
+        tracer.record_span(
+            phase, sum(seconds[index] for _, seconds, _ in results),
+            parent=kernel, counters=phase_counters.get(phase))
+
+
+def _run_forked(simulator: BatchedChannelSimulator,
+                chunks: List[Tuple[int, int]], superframes: int) -> List:
+    """Run chunk 0 here and every other chunk in a forked child.
+
+    Each child inherits the lanes copy-on-write, runs
+    :meth:`BatchedChannelSimulator._run_batched` on its range and pipes
+    back the pickled result; results come back in chunk order.  Every
+    child is reaped before this returns or raises — one that is still
+    running when this process fails is killed first.
+    """
+    children: List[Tuple[int, int, int, int]] = []  # pid, fd, start, stop
+    reaped: set = set()
+    try:
+        for start, stop in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on fork whenever the OS lists a
+                    # second thread; _chunk_count admits only OpenBLAS's.
+                    warnings.filterwarnings(
+                        "ignore", category=DeprecationWarning,
+                        message=r".*use of fork\(\)")
+                    pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # pragma: no cover - the child's coverage is lost
+                os.close(read_fd)  # with its os._exit
+                _chunk_child(simulator, start, stop, superframes, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd, start, stop))
+        start, stop = chunks[0]
+        results = [simulator._run_batched(simulator.lanes[start:stop],
+                                          superframes)]
+        for pid, read_fd, start, stop in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            if not payload:
+                raise RuntimeError(
+                    f"batched kernel lanes {start}..{stop - 1}: the forked "
+                    f"process exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} and no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                error, trace = value
+                raise RuntimeError(
+                    f"batched kernel lanes {start}..{stop - 1} failed in a "
+                    f"forked process:\n{trace}") from error
+            result, states = value
+            room = _PCG_STATE_CACHE_MAX - len(_pcg_states)
+            _pcg_states.update(states[:max(0, room)])
+            results.append(result)
+        return results
+    finally:
+        for pid, read_fd, _, _ in children:
+            os.close(read_fd)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)  # unreaped, so still ours
+                os.waitpid(pid, 0)
+
+
+def _chunk_child(simulator: BatchedChannelSimulator, start: int, stop: int,
+                 superframes: int,
+                 write_fd: int) -> None:  # pragma: no cover - forked child
+    """The forked side of :func:`_run_forked`; never returns.
+
+    Writes ``(True, (result, new seed states))`` or
+    ``(False, (error, traceback text))`` and leaves through
+    :func:`os._exit`, so neither the parent's atexit handlers nor its
+    buffered output run a second time.
+    """
+    status = 1
+    try:
+        cached = len(_pcg_states)
+        try:
+            result = simulator._run_batched(simulator.lanes[start:stop],
+                                            superframes)
+            # The seeded states this chunk added go home with the result,
+            # so a later call with the same seeds finds them cached.
+            outcome = (True, (result, list(islice(_pcg_states.items(),
+                                                  cached, None))))
+        except BaseException as error:  # noqa: BLE001 - shipped to parent
+            trace = traceback.format_exc()
+            try:
+                pickle.dumps(error)
+            except Exception:  # noqa: BLE001 - unpicklable error
+                error = RuntimeError(repr(error))
+            outcome = (False, (error, trace))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

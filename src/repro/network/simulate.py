@@ -11,8 +11,10 @@ simulation seed — and hands the lanes to the selected kernel:
 
 * ``"batched"`` runs every lane in one
   :class:`repro.mac.vectorized.BatchedChannelSimulator` call, which
-  advances all lanes in lockstep numpy passes; the executor argument is
-  ignored, the batch *is* the parallelism;
+  advances its lanes in lockstep numpy passes and splits them into
+  contiguous chunks over forked processes, one per CPU the calling
+  process owns; the executor argument is not used, since the kernel
+  picks its own processes;
 * ``"event"`` maps the picklable lanes through any
   :mod:`repro.runner.executor` strategy, one discrete-event simulation per
   lane, so ``--jobs N`` and serial runs produce identical rows.
@@ -112,9 +114,10 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
         but all channels still share a single node population.
     executor:
         A :mod:`repro.runner.executor` strategy for the ``"event"``
-        backend's per-lane tasks; ``None`` runs serially.  Ignored by the
-        ``"batched"`` backend, whose single lockstep kernel call already
-        advances every (channel, replication) lane at once.
+        backend's per-lane tasks; ``None`` runs serially.  Not used by
+        the ``"batched"`` backend: its one kernel call advances every
+        (channel, replication) lane and forks its own lane chunks over
+        the CPUs this process owns, with the same rows on any CPU count.
     max_nodes_per_channel:
         Truncate each channel's population (scaled-down runs).
     backend:

@@ -143,8 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", help="registry name (see 'list')")
     run_parser.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes (1 = serial; rows are "
-                                 "identical either way)")
+                            help="worker processes the experiment's tasks "
+                                 "fan out over (1 = this process); the "
+                                 "batched MAC kernel also splits its "
+                                 "channel lanes over the CPUs each process "
+                                 "owns; rows are identical either way")
     run_parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"master seed (default {DEFAULT_SEED})")
     run_parser.add_argument("--no-cache", action="store_true",

@@ -7,7 +7,9 @@ strategies are provided:
 * :class:`SerialExecutor` — evaluate in the calling process, in order.
 * :class:`ProcessExecutor` — fan the tasks out over a
   :class:`concurrent.futures.ProcessPoolExecutor`, chunked to amortise the
-  inter-process round-trip, yielding results as they complete.
+  inter-process round-trip, yielding results as they complete.  Each
+  worker owns ``1/jobs`` of the CPUs, which bounds how far the batched
+  kernel inside it splits its lanes.
 
 Both yield ``(index, result)`` pairs so callers can either stream results as
 they arrive (progress reporting, incremental table rows) or reassemble the
@@ -92,10 +94,14 @@ class ProcessExecutor:
         # only loaded when a run actually fans out over workers.
         from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                         wait)
+
+        from repro.sim.cpus import share_cpus
         tasks = list(tasks)
         if not tasks:
             return
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=self.jobs,
+                                 initializer=share_cpus,
+                                 initargs=(self.jobs,)) as pool:
             pending = {pool.submit(_run_chunk, function, chunk)
                        for chunk in self._chunks(tasks)}
             while pending:

@@ -60,8 +60,10 @@ def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
                        help="job-store sqlite path (default "
                             "<cache-dir>/jobs.sqlite)")
     serve.add_argument("--jobs", "-j", type=int, default=1,
-                       help="worker processes per experiment run "
-                            "(default 1 = serial)")
+                       help="processes each job's tasks fan out over "
+                            "(default 1 = the worker itself; its batched "
+                            "kernel still splits lanes over the worker's "
+                            "share of the CPUs)")
     serve.add_argument("--seed", type=int, default=None,
                        help="session seed policy for specs without a seed "
                             "(default: the engine default seed)")

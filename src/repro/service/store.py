@@ -94,7 +94,8 @@ class JobRecord:
             "job_id": self.job_id,
             "state": self.state,
             "kind": self.spec.get("kind"),
-            "name": self.spec.get("name"),
+            "name": self.spec.get("sweep" if self.spec.get("kind") == "sweep"
+                                  else "experiment"),
             "attempts": self.attempts,
             "max_attempts": self.max_attempts,
             "worker": self.worker,

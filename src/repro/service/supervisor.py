@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.api import preload
+from repro.api import preload, share_cpus
 from repro.service.http import ServiceServer
 from repro.service.store import JobStore
 from repro.service.worker import Worker, worker_identity
@@ -297,9 +297,12 @@ class Supervisor:
 
     def _worker_main(self, stop: _Signals) -> int:
         """Run one worker loop until SIGTERM or until the supervisor is
-        gone (graceful either way: the job in hand completes)."""
+        gone (graceful either way: the job in hand completes).  The
+        workers split the CPUs evenly, so a kernel inside one splits its
+        lanes over this worker's share only."""
         supervisor = os.getppid()
         self._server.socket.close()
+        share_cpus(self.workers)
         worker = self.make_worker()
 
         def stopping() -> bool:

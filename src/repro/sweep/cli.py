@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import logging
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 # Shared --param reader — one table, one behaviour for both the runner and
 # the sweep CLI (see repro.runner.params.parse_param).
@@ -74,8 +74,12 @@ def add_sweep_arguments(sweep_parser: argparse.ArgumentParser) -> None:
         "run", help="run a sweep (finished points resume from the cache)")
     common(run_parser)
     run_parser.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes (points are dispatched "
-                                 "chunk-wise; rows are identical either way)")
+                            help="worker processes the points fan out "
+                                 "over, chunk-wise (1 = this process); the "
+                                 "batched MAC kernel also splits each "
+                                 "point's channel lanes over the CPUs its "
+                                 "process owns; rows are identical either "
+                                 "way")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="neither read nor write the result cache "
                                  "(disables resume)")
@@ -97,7 +101,8 @@ def add_sweep_arguments(sweep_parser: argparse.ArgumentParser) -> None:
         "export", help="run (from cache where possible) and write artifacts")
     common(export_parser)
     export_parser.add_argument("--jobs", "-j", type=int, default=1,
-                               help="worker processes for missing points")
+                               help="worker processes the missing points "
+                                    "fan out over (see 'sweep run --help')")
     export_parser.add_argument("--out", required=True, metavar="DIR",
                                help="output directory of the artifacts")
 
@@ -120,7 +125,9 @@ def add_sweep_arguments(sweep_parser: argparse.ArgumentParser) -> None:
                                       "(repeatable; searched dimensions "
                                       "cannot be overridden)")
     optimize_parser.add_argument("--jobs", "-j", type=int, default=1,
-                                 help="worker processes per proposal batch")
+                                 help="worker processes each proposal "
+                                      "batch fans out over (see 'sweep run "
+                                      "--help')")
     optimize_parser.add_argument("--no-cache", action="store_true",
                                  help="neither read nor write the result "
                                       "cache (disables resume)")
@@ -130,6 +137,10 @@ def add_sweep_arguments(sweep_parser: argparse.ArgumentParser) -> None:
     optimize_parser.add_argument("--quiet", "-q", action="store_true",
                                  help="suppress the tables, print the "
                                       "summary lines only")
+    optimize_parser.add_argument("--trace", metavar="PATH", default=None,
+                                 help="write a repro.obs trace of the "
+                                      "search (inspect with 'python -m "
+                                      "repro obs report PATH')")
 
 
 def _resolve_spec(arguments: argparse.Namespace) -> SweepSpec:
@@ -139,6 +150,20 @@ def _resolve_spec(arguments: argparse.Namespace) -> SweepSpec:
     if overrides:
         spec = spec.with_overrides(overrides)
     return spec
+
+
+def _tracer(arguments: argparse.Namespace, name: str):
+    """The run's tracer when ``--trace`` was given, else ``None``."""
+    if not arguments.trace:
+        return None
+    from repro.obs import Tracer
+    return Tracer(name=name)
+
+
+def _write_trace(tracer, path: Optional[str]) -> None:
+    if tracer is not None:
+        from repro.obs import write_trace
+        logger.info(f"wrote trace to {write_trace(tracer, path)}")
 
 
 def _print_front(result, names=None) -> None:
@@ -166,10 +191,7 @@ def _command_run(arguments: argparse.Namespace) -> int:
     from repro.sweep.artifacts import export_sweep
     from repro.sweep.driver import run_sweep
     spec = _resolve_spec(arguments)
-    tracer = None
-    if arguments.trace:
-        from repro.obs import Tracer
-        tracer = Tracer(name=f"sweep:{arguments.sweep}")
+    tracer = _tracer(arguments, f"sweep:{arguments.sweep}")
     result = run_sweep(spec, jobs=arguments.jobs,
                        cache=not arguments.no_cache,
                        cache_root=arguments.cache_dir,
@@ -186,10 +208,7 @@ def _command_run(arguments: argparse.Namespace) -> int:
         paths = export_sweep(result, arguments.export)
         for kind in ("csv", "long_csv", "json", "manifest"):
             logger.info(f"  wrote {kind:9s} {paths[kind]}")
-    if tracer is not None:
-        from repro.obs import write_trace
-        trace_path = write_trace(tracer, arguments.trace)
-        logger.info(f"wrote trace to {trace_path}")
+    _write_trace(tracer, arguments.trace)
     return 0
 
 
@@ -232,9 +251,11 @@ def _command_optimize(arguments: argparse.Namespace) -> int:
     overrides = dict(getattr(arguments, "param", []) or [])
     if overrides:
         spec = spec.with_overrides(overrides)
+    tracer = _tracer(arguments, f"optimize:{arguments.optimizer}")
     result = run_optimize(spec, jobs=arguments.jobs,
                           cache=not arguments.no_cache,
-                          cache_root=arguments.cache_dir)
+                          cache_root=arguments.cache_dir,
+                          tracer=tracer)
     if not arguments.quiet:
         print(result.to_table())
         print()
@@ -248,6 +269,7 @@ def _command_optimize(arguments: argparse.Namespace) -> int:
         paths = export_optimize(result, arguments.export)
         for kind in ("csv", "json", "manifest"):
             logger.info(f"  wrote {kind:9s} {paths[kind]}")
+    _write_trace(tracer, arguments.trace)
     return 0
 
 

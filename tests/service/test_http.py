@@ -140,6 +140,20 @@ class TestSmoke:
         assert len(listing["jobs"]) == 1
         assert sum(listing["counts"].values()) == 1
 
+    def test_status_and_listing_name_the_experiment_or_sweep(self,
+                                                               frontend):
+        """The stored canonical payload keys the name as ``experiment``
+        or ``sweep``; both status documents must report it."""
+        run = frontend.submit(RUN_PAYLOAD)
+        sweep = frontend.submit({"kind": "sweep", "name": "node_density",
+                                 "quick": True})
+        assert frontend.status(run["job_id"])["name"] == "fig3_radio"
+        assert frontend.status(sweep["job_id"])["name"] == "node_density"
+        names = {job["job_id"]: (job["kind"], job["name"])
+                 for job in frontend.jobs()["jobs"]}
+        assert names == {run["job_id"]: ("run", "fig3_radio"),
+                         sweep["job_id"]: ("sweep", "node_density")}
+
 
 class TestErrors:
     def test_unknown_job_is_404(self, frontend):

@@ -213,6 +213,19 @@ class TestOptimizeCommand:
         second = capsys.readouterr().out
         assert "(0 computed, 6 from cache)" in second
 
+    def test_optimize_writes_a_trace(self, tmp_path, capsys):
+        from repro.obs import read_trace, validate_trace
+        trace = tmp_path / "trace.json"
+        assert main(["sweep", "optimize", "case_study_power", "--quick",
+                     "--no-cache", "--trace", str(trace)]) == 0
+        assert f"wrote trace to {trace}" in capsys.readouterr().err
+        payload = read_trace(trace)
+        validate_trace(payload)
+        assert payload["name"] == "optimize:case_study_power"
+        names = [span["name"] for span in payload["spans"]]
+        assert "optimize:case_study_power" in names
+        assert names.count("kernel:batched") == 6
+
     def test_optimize_prints_front_and_knee(self, tmp_path, capsys):
         assert main(["sweep", "optimize", "case_study_power", "--quick",
                      "--cache-dir", str(tmp_path)]) == 0
