@@ -37,6 +37,13 @@ lane runs alone or batched with fifteen others — and energies agree to
 float-summation-order precision.  This is asserted by the cross-validation
 matrix in ``tests/mac/test_vectorized.py``.
 
+All streams of one call are seeded together:
+:func:`repro.sim.random.pcg64_streams` runs numpy's ``SeedSequence``
+hashing for every coordinator and device stream of the batch in one
+vectorised pass, bit-identical to seeding them one by one and with no
+state kept between calls.  A lane whose seed is ``None`` draws fresh
+entropy once per call for all of its streams.
+
 To batch the variate draws, the kernel replays each stream's raw
 ``uint64`` output (``BitGenerator.random_raw``) and applies numpy's own
 bounded-integer / uniform transformations:
@@ -49,24 +56,25 @@ bounded-integer / uniform transformations:
   ``uint64`` (bypassing, not clearing, the 32-bit buffer) and map it to
   ``(u64 >> 11) * 2**-53``.
 
-These identities are checked against the running numpy at first use
-(:func:`raw_streams_compatible`); if numpy ever changes its bit-stream
-consumption the kernel refuses to run rather than draw silently different
-variates, and the discrete-event kernel (``backend="event"``) remains
-available.  :func:`_simulate_lane_reference`, the pre-batching per-lane
-scalar implementation drawing from the generators directly, is kept as
-the bit-equality oracle the test suite compares the batched kernel
-against; no runtime path calls it.
+These identities and the vectorised seeding are checked against the
+running numpy at first use (:func:`raw_streams_compatible`); if numpy ever
+changes its seed hashing or bit-stream consumption the kernel refuses to
+run rather than draw silently different variates, and the discrete-event
+kernel (``backend="event"``) remains available.
+:func:`_simulate_lane_reference`, the pre-batching per-lane scalar
+implementation drawing from the generators directly, is kept as the
+bit-equality oracle the test suite compares the batched kernel against;
+no runtime path calls it.
 
 Lane-parallel split
 -------------------
 Because lanes never interact, one call may split them into contiguous
 chunks of about equal device count: chunk 0 runs in the calling process,
 every other chunk in an ``os.fork()`` child that inherits the lanes
-copy-on-write and pipes back its pickled summaries.  The chunk count is
-capped by the lanes, the CPUs the process owns
-(:func:`repro.sim.cpus.owned_cpus`: a pool or service worker owns its
-share of them) and a minimum of work per chunk; a process running a
+copy-on-write, seeds its own lanes' streams and pipes back its pickled
+summaries.  The chunk count is capped by the lanes, the CPUs the process
+owns (:func:`repro.sim.cpus.owned_cpus`: a pool or service worker owns
+its share of them) and a minimum of work per chunk; a process running a
 second Python thread never splits.
 
 Known departure: within a lane, simultaneous events are ordered by device
@@ -96,7 +104,8 @@ import traceback
 import warnings
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate
+from secrets import randbits
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,7 +122,8 @@ from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
 from repro.sim.cpus import owned_cpus
-from repro.sim.random import RandomStreams
+from repro.sim.random import (RandomStreams, _name_to_entropy, _state_words,
+                               pcg64_streams)
 
 #: Event kinds of the reference implementation's compact queue.
 _EVENT_CCA_SAMPLE = 0
@@ -176,45 +186,9 @@ def _make_data_frame(payload_bytes: int) -> DataFrame:
 # raw-stream compatibility probe
 # ---------------------------------------------------------------------------
 
-def _device_bit_generator(master_seed: Optional[int],
-                          name: str) -> np.random.BitGenerator:
-    """The bit generator behind ``RandomStreams(master_seed).get(name)``."""
-    from repro.sim.random import _name_to_entropy
-    seed_seq = np.random.SeedSequence(entropy=master_seed,
-                                      spawn_key=(_name_to_entropy(name),))
-    return np.random.default_rng(seed_seq).bit_generator
-
-
-#: Freshly-seeded PCG64 states keyed by ``(master_seed, stream_entropy)``.
-#: SeedSequence hashing plus PCG64 seeding dominate the batched kernel's
-#: setup at paper scale (~15 us x 1600 devices), and callers — the bench
-#: harness, replication fan-outs, the test matrix — re-run identical seeds
-#: back to back; restoring a cached state costs half a fresh construction.
-_pcg_states: Dict = {}
-_PCG_STATE_CACHE_MAX = 65536
-_pcg_template: Optional[np.random.SeedSequence] = None
-
 #: ``device[<id>]`` stream-name entropies keyed by node id — the name
 #: hash is pure, and the same node ids recur in every lane and run.
 _device_entropies: Dict[int, int] = {}
-
-
-def _seeded_pcg64(master_seed: int, entropy: int) -> np.random.PCG64:
-    """``PCG64(SeedSequence(master_seed, spawn_key=(entropy,)))``, cached."""
-    global _pcg_template
-    key = (master_seed, entropy)
-    state = _pcg_states.get(key)
-    if state is None:
-        generator = np.random.PCG64(np.random.SeedSequence(
-            entropy=master_seed, spawn_key=(entropy,)))
-        if len(_pcg_states) < _PCG_STATE_CACHE_MAX:
-            _pcg_states[key] = generator.state
-        return generator
-    if _pcg_template is None:
-        _pcg_template = np.random.SeedSequence(0)
-    generator = np.random.PCG64(_pcg_template)
-    generator.state = state
-    return generator
 
 
 def _probe_matches(real: np.random.Generator,
@@ -262,8 +236,36 @@ def _probe_matches(real: np.random.Generator,
     return True
 
 
+#: ``(master seed, stream entropy)`` pairs of different word lengths —
+#: zero, one, two and five-word masters; short and full 128-bit keys —
+#: that :func:`raw_streams_compatible` seeds both ways.
+_SEEDING_PROBE = ((0, 0), (987654321, 11), (0x1234_5678_9ABC, 2 ** 127 + 3),
+                  (2 ** 150 + 17, 0xFFFF_FFFF), (2 ** 64 - 1, 2 ** 64))
+
+
+def _seeding_matches() -> bool:
+    """Whether :func:`repro.sim.random.pcg64_streams` seeds exactly like
+    ``PCG64(SeedSequence(master, spawn_key=(entropy,)))``, words and
+    first raw draws alike."""
+    masters = [master for master, _ in _SEEDING_PROBE]
+    entropies = [entropy for _, entropy in _SEEDING_PROBE]
+    words = _state_words(masters, entropies)
+    streams = pcg64_streams(masters, entropies)
+    for index, (master, entropy) in enumerate(_SEEDING_PROBE):
+        sequence = np.random.SeedSequence(entropy=master,
+                                          spawn_key=(entropy,))
+        if not np.array_equal(words[index],
+                              sequence.generate_state(4, np.uint64)):
+            return False
+        if not np.array_equal(streams[index].random_raw(8),
+                              np.random.PCG64(sequence).random_raw(8)):
+            return False
+    return True
+
+
 def raw_streams_compatible() -> bool:
-    """Whether this numpy's generators match the raw-stream replay.
+    """Whether this numpy's generators match the kernel's seeding and
+    raw-stream replay.
 
     Evaluated once per process and cached; a mismatch (or any error while
     probing) makes every batched run raise instead of producing silently
@@ -274,10 +276,8 @@ def raw_streams_compatible() -> bool:
         try:
             real = np.random.default_rng(
                 np.random.SeedSequence(entropy=987654321, spawn_key=(11,)))
-            raw = np.random.default_rng(
-                np.random.SeedSequence(entropy=987654321,
-                                       spawn_key=(11,))).bit_generator
-            _raw_compat = _probe_matches(real, raw)
+            raw = pcg64_streams([987654321], [11])[0]
+            _raw_compat = _seeding_matches() and _probe_matches(real, raw)
         except Exception:  # pragma: no cover - depends on foreign numpy
             _raw_compat = False
     return _raw_compat
@@ -437,29 +437,28 @@ class BatchedChannelSimulator:
             and not forwarding
 
         # ---- per-lane streams (identical names to the event kernel) --------
-        # Bit generators are constructed directly from the stream names'
-        # seed sequences — the exact derivation ``RandomStreams.get`` uses
-        # (``default_rng(seq)`` wraps ``PCG64(seq)``) without the Generator
-        # objects the raw replay never calls.
-        from repro.sim.random import _name_to_entropy
-        coordinator_entropy = _name_to_entropy("coordinator")
+        # The bit generators behind ``RandomStreams(seed).get(name)`` of
+        # every lane's coordinator and devices, seeded in one vectorised
+        # pass without the Generator objects the raw replay never calls.
+        # A lane without a seed draws fresh entropy once, for all of its
+        # streams.
         entropy_cache = _device_entropies
-        device_bgs: List[np.random.BitGenerator] = []
-        coordinator_bgs: List[np.random.BitGenerator] = []
+        lane_masters = [randbits(128) if lane.seed is None else lane.seed
+                        for lane in lanes]
+        masters: List[int] = list(lane_masters)
+        entropies: List[int] = [_name_to_entropy("coordinator")] * lane_count
         sources: List = []
         programmed_flat: List[float] = []
         pe_flat: List[float] = []
         ppdu_bytes = frame.ppdu_bytes
-        for lane in lanes:
-            master = lane.seed
-            coordinator_bgs.append(
-                _seeded_pcg64(master, coordinator_entropy))
+        for lane, master in zip(lanes, lane_masters):
+            masters.extend([master] * len(lane.nodes))
             for node in lane.nodes:
                 entropy = entropy_cache.get(node.node_id)
                 if entropy is None:
                     entropy = _name_to_entropy(f"device[{node.node_id}]")
                     entropy_cache[node.node_id] = entropy
-                device_bgs.append(_seeded_pcg64(master, entropy))
+                entropies.append(entropy)
             if not saturated:
                 sources.extend(make_lane_sources(
                     traffic_model,
@@ -472,6 +471,9 @@ class BatchedChannelSimulator:
             pe_flat.extend(
                 node.link().packet_error_probability(level, ppdu_bytes)
                 for node, level in zip(lane.nodes, programmed))
+        bit_generators = pcg64_streams(masters, entropies)
+        coordinator_bgs = bit_generators[:lane_count]
+        device_bgs = bit_generators[lane_count:]
 
         # ---- raw draw state -------------------------------------------------
         raws = np.zeros((n, _RAW_CHUNK), dtype=np.uint64)
@@ -1164,10 +1166,11 @@ def _run_forked(simulator: BatchedChannelSimulator,
     """Run chunk 0 here and every other chunk in a forked child.
 
     Each child inherits the lanes copy-on-write, runs
-    :meth:`BatchedChannelSimulator._run_batched` on its range and pipes
-    back the pickled result; results come back in chunk order.  Every
-    child is reaped before this returns or raises — one that is still
-    running when this process fails is killed first.
+    :meth:`BatchedChannelSimulator._run_batched` on its range — which
+    seeds that range's streams itself, so nothing but the result crosses
+    the pipe — and pipes back the pickled result; results come back in
+    chunk order.  Every child is reaped before this returns or raises —
+    one that is still running when this process fails is killed first.
     """
     children: List[Tuple[int, int, int, int]] = []  # pid, fd, start, stop
     reaped: set = set()
@@ -1210,10 +1213,7 @@ def _run_forked(simulator: BatchedChannelSimulator,
                 raise RuntimeError(
                     f"batched kernel lanes {start}..{stop - 1} failed in a "
                     f"forked process:\n{trace}") from error
-            result, states = value
-            room = _PCG_STATE_CACHE_MAX - len(_pcg_states)
-            _pcg_states.update(states[:max(0, room)])
-            results.append(result)
+            results.append(value)
         return results
     finally:
         for pid, read_fd, _, _ in children:
@@ -1228,21 +1228,16 @@ def _chunk_child(simulator: BatchedChannelSimulator, start: int, stop: int,
                  write_fd: int) -> None:  # pragma: no cover - forked child
     """The forked side of :func:`_run_forked`; never returns.
 
-    Writes ``(True, (result, new seed states))`` or
-    ``(False, (error, traceback text))`` and leaves through
-    :func:`os._exit`, so neither the parent's atexit handlers nor its
-    buffered output run a second time.
+    Seeds and runs its lanes, writes ``(True, result)`` or ``(False,
+    (error, traceback text))`` and leaves through :func:`os._exit`, so
+    neither the parent's atexit handlers nor its buffered output run a
+    second time.
     """
     status = 1
     try:
-        cached = len(_pcg_states)
         try:
-            result = simulator._run_batched(simulator.lanes[start:stop],
-                                            superframes)
-            # The seeded states this chunk added go home with the result,
-            # so a later call with the same seeds finds them cached.
-            outcome = (True, (result, list(islice(_pcg_states.items(),
-                                                  cached, None))))
+            outcome = (True, simulator._run_batched(
+                simulator.lanes[start:stop], superframes))
         except BaseException as error:  # noqa: BLE001 - shipped to parent
             trace = traceback.format_exc()
             try:

@@ -121,8 +121,7 @@ class ServiceState:
 
     def listing(self) -> Tuple[int, Dict[str, Any]]:
         return 200, {"counts": self.store.counts(),
-                     "jobs": [record.to_status()
-                              for record in self.store.jobs()]}
+                     "jobs": self.store.statuses()}
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         """Liveness; ``workers`` counts the live workers only, so a dying

@@ -72,6 +72,23 @@ _COLUMNS = ("job_id", "seq", "spec", "state", "attempts", "max_attempts",
             "cache_key")
 
 
+#: Keys of a job's status document (:meth:`JobRecord.to_status`), in the
+#: column order of :data:`_STATUS_QUERY`.
+_STATUS_KEYS = ("job_id", "state", "kind", "name", "attempts",
+                "max_attempts", "worker", "error", "cache_key")
+
+#: Every job's status document, oldest first.  ``kind`` and ``name`` are
+#: read out of the stored spec by sqlite, so a listing decodes no spec.
+_STATUS_QUERY = """
+SELECT job_id, state, json_extract(spec, '$.kind'),
+       CASE WHEN json_extract(spec, '$.kind') = 'sweep'
+            THEN json_extract(spec, '$.sweep')
+            ELSE json_extract(spec, '$.experiment') END,
+       attempts, max_attempts, worker, error, cache_key
+FROM jobs ORDER BY seq
+"""
+
+
 @dataclass(frozen=True)
 class JobRecord:
     """One job row (without the result text — fetch that separately)."""
@@ -430,6 +447,13 @@ class JobStore:
         with closing(self._connect()) as connection:
             return [_record(row)
                     for row in connection.execute(query, args).fetchall()]
+
+    def statuses(self) -> List[Dict[str, Any]]:
+        """Every job's :meth:`JobRecord.to_status` document, oldest first,
+        built in SQL (the ``GET /v1/jobs`` listing)."""
+        with closing(self._connect()) as connection:
+            rows = connection.execute(_STATUS_QUERY).fetchall()
+        return [dict(zip(_STATUS_KEYS, row)) for row in rows]
 
     def counts(self) -> Dict[str, int]:
         """Job counts per lifecycle state (zero-filled, stable order)."""

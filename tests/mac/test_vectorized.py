@@ -235,6 +235,47 @@ class TestVectorizedProperties:
         assert fast.failure_probability == 1.0
 
 
+class TestSeedingKeepsNoState:
+    """The kernel seeds every call's streams afresh: no state survives a
+    call, so unseeded runs differ and distinct seeds cost no memory."""
+
+    nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
+                        tx_power_dbm=0.0) for i in range(1, 13)]
+    config = SuperframeConfig(beacon_order=3, superframe_order=3)
+
+    def outcome(self, seed):
+        summary = ChannelScenario(self.nodes, self.config, payload_bytes=100,
+                                  seed=seed).run(superframes=8,
+                                                 backend="batched")
+        return (summary.packets_delivered, summary.channel_access_failures,
+                summary.mean_node_power_w)
+
+    def test_unseeded_batched_runs_draw_fresh_streams(self):
+        """``seed=None`` means fresh entropy on every call, as on the
+        event kernel — not a replay of the first unseeded run."""
+        assert len({self.outcome(None) for _ in range(3)}) > 1
+
+    def test_distinct_seeds_leave_module_containers_unchanged(self):
+        """Of the kernel's and the seeding's module-level containers, only
+        ``_device_entropies`` (keyed by node id, not by seed) may grow."""
+        from repro.mac import vectorized
+        from repro.sim import random
+
+        def container_sizes():
+            return {(module.__name__, name): len(value)
+                    for module in (vectorized, random)
+                    for name, value in vars(module).items()
+                    if isinstance(value, (dict, list, set))
+                    and name != "_device_entropies"}
+
+        self.outcome(0)
+        before = container_sizes()
+        for seed in range(1, 9):
+            self.outcome(1000 + seed)
+        after = container_sizes()
+        assert after == before
+
+
 class TestBatchedNetworkEquivalenceMatrix:
     """Same-seed equivalence matrix of the batched lockstep backend.
 

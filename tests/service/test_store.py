@@ -173,6 +173,38 @@ class TestLifecycle:
         assert store.counts()[JobState.QUEUED] == 1
 
 
+class TestStatuses:
+    def test_listing_encodes_like_the_records_status_documents(self, store):
+        """The SQL-built listing is byte-identical, once encoded, to the
+        status documents of the decoded records — for run and sweep jobs
+        in every state, names with escapes included."""
+        sweep = {"kind": "sweep", "sweep": "node_density", "quick": True,
+                 "seed": 1, "code_version": "v"}
+        _submit(store, "run-queued")
+        store.submit("sweep-queued", dict(sweep))
+        _submit(store, "run-done")
+        store.claim("w1")  # run-queued
+        store.claim("w2")  # sweep-queued
+        store.claim("w3")  # run-done
+        store.finish("run-done", "w3", result_text="{}", counters={})
+        store.fail("sweep-queued", "w2", "boom \"quoted\" \u00b5W")
+        store.submit("odd-name", dict(JOB, experiment="fig\"3 \u00b5"))
+        store.submit("no-kind", {"experiment": "fig3_radio"})
+        store.cancel("odd-name")
+
+        def encode(documents):
+            return json.dumps(documents, indent=2, sort_keys=True)
+
+        expected = [record.to_status() for record in store.jobs()]
+        assert encode(store.statuses()) == encode(expected)
+        assert [status["name"] for status in store.statuses()] == [
+            "fig3_radio", "node_density", "fig3_radio", "fig\"3 \u00b5",
+            "fig3_radio"]
+
+    def test_empty_store_lists_nothing(self, store):
+        assert store.statuses() == []
+
+
 class TestStaleRequeue:
     def test_silent_claims_requeue_after_the_deadline(self, tmp_path):
         now = [1000.0]

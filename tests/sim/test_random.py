@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, _state_words, pcg64_streams
 
 
 class TestRandomStreams:
@@ -105,3 +105,54 @@ class TestSpawnSeeds:
 
         with pytest.raises(ValueError):
             spawn_seeds(7, "windows", -1)
+
+
+#: Master seeds of every word length ``SeedSequence`` pads or extends:
+#: zero, one word, two words and more than the four-word pool.
+_MASTERS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1),
+                     st.integers(2 ** 32, 2 ** 64 - 1),
+                     st.integers(2 ** 128, 2 ** 200))
+#: Stream-name entropies, short keys included.
+_ENTROPIES = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 128))
+
+
+class TestPcg64Streams:
+    """The vectorised seeding is numpy's ``SeedSequence`` → ``PCG64``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(_MASTERS, _ENTROPIES),
+                          min_size=1, max_size=12))
+    def test_matches_numpy_seed_sequences(self, pairs):
+        masters = [master for master, _ in pairs]
+        entropies = [entropy for _, entropy in pairs]
+        words = _state_words(masters, entropies)
+        streams = pcg64_streams(masters, entropies)
+        assert words.dtype == np.uint64 and words.shape == (len(pairs), 4)
+        for row, stream, (master, entropy) in zip(words, streams, pairs):
+            sequence = np.random.SeedSequence(master, spawn_key=(entropy,))
+            np.testing.assert_array_equal(
+                row, sequence.generate_state(4, np.uint64))
+            np.testing.assert_array_equal(
+                stream.random_raw(6),
+                np.random.PCG64(sequence).random_raw(6))
+
+    def test_streams_are_the_named_random_streams(self):
+        from repro.sim.random import _name_to_entropy
+
+        stream = pcg64_streams([2005], [_name_to_entropy("coordinator")])[0]
+        expected = RandomStreams(2005).get("coordinator").bit_generator
+        np.testing.assert_array_equal(stream.random_raw(16),
+                                      expected.random_raw(16))
+
+    def test_empty_batch(self):
+        assert pcg64_streams([], []) == []
+
+    def test_rejects_what_seed_sequence_rejects(self):
+        with pytest.raises(ValueError):
+            pcg64_streams([-1], [3])
+        with pytest.raises(ValueError):
+            pcg64_streams([1], [-3])
+        with pytest.raises(TypeError):
+            pcg64_streams([1.5], [3])
+        with pytest.raises(ValueError, match="one master seed"):
+            pcg64_streams([1, 2], [3])
