@@ -154,6 +154,7 @@ def command_serve(arguments: argparse.Namespace) -> int:
     status = supervisor.run(server)
     logger.info("service stopped; queue counts: %s",
                 json.dumps(store.counts(), sort_keys=True))
+    store.close()
     return status
 
 
@@ -172,6 +173,8 @@ def command_jobs(arguments: argparse.Namespace) -> int:
     except TimeoutError as error:
         logger.error(f"error: {error}")
         return 3
+    finally:
+        client.close()
 
 
 def _run_jobs_action(client: ServiceClient,

@@ -18,7 +18,8 @@ under ``/v1``):
                             sweep JSON artifact (sweep jobs).  409 while the
                             job is still queued/running, 500 when it failed.
 ``POST /v1/jobs/{id}/cancel`` Cancel a queued job (running jobs finish).
-``GET /v1/jobs``            Queue listing with per-state counts.
+``GET /v1/jobs``            Queue listing with per-state counts, both read
+                            from one snapshot of the store.
 ``GET /v1/health``          Liveness, live workers and their pids, queue
                             counts, code version.
 ``GET /v1/metrics``         Merged worker observability counters.
@@ -28,18 +29,26 @@ Submission canonicalises *before* enqueueing, so bad specs (unknown
 experiment, invalid parameter, missing seed policy) fail fast with a 400
 carrying the engine's own did-you-mean message — a worker never burns an
 attempt on them.
+
+The listing is kept incrementally: the frontend holds every job's encoded
+status document and re-encodes only the jobs the store reports changed
+since its last poll (:meth:`JobStore.changes`).  Replies are compact JSON
+with sorted keys, and connections are kept alive (``HTTP/1.1``, with
+Nagle's algorithm off so a small reply is not held back for the client's
+delayed ACK).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import (ParameterValueError, Session, UnknownExperimentError,
                        UnknownParameterError, UnknownSweepError, code_version)
-from repro.service.jobs import JobSpec, JobSpecError, canonicalize
+from repro.service.jobs import JobSpec, JobSpecError, JobState, canonicalize
 from repro.service.store import JobStore, WorkerRecord
 
 logger = logging.getLogger(__name__)
@@ -61,7 +70,9 @@ class ServiceState:
 
     ``supervisor`` is the registry key of the process that forks this
     service's workers; ``None`` serves the frontend alone (no workers, no
-    worker counters).
+    worker counters).  ``on_queued``, when set, is called after every
+    submission that leaves its job queued (the supervisor's worker
+    wake-up).
     """
 
     def __init__(self, session: Session, store: JobStore,
@@ -69,6 +80,15 @@ class ServiceState:
         self.session = session
         self.store = store
         self.supervisor = supervisor
+        self.on_queued: Optional[Callable[[], None]] = None
+        # The listing: the store cursor it is current to, each job's
+        # (state, encoded status document) oldest first, the per-state
+        # tally of those states and the encoded reply.
+        self._listing_lock = threading.Lock()
+        self._cursor = 0
+        self._jobs: Dict[str, Tuple[str, str]] = {}
+        self._counts = {state: 0 for state in JobState.ALL}
+        self._listing = _encode({"counts": self._counts, "jobs": []})
 
     def _workers(self) -> List[WorkerRecord]:
         if self.supervisor is None:
@@ -88,6 +108,8 @@ class ServiceState:
             return 400, {"error": message}
         receipt = self.store.submit(job.job_id, job.payload,
                                     cache_key=job.cache_key)
+        if receipt["state"] == JobState.QUEUED and self.on_queued is not None:
+            self.on_queued()
         return (201 if receipt["created"] else 200), receipt
 
     def status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
@@ -119,9 +141,25 @@ class ServiceState:
                               "can be cancelled",
                      "job": record.to_status()}
 
-    def listing(self) -> Tuple[int, Dict[str, Any]]:
-        return 200, {"counts": self.store.counts(),
-                     "jobs": self.store.statuses()}
+    def listing(self) -> Tuple[int, str]:
+        """The encoded ``{"counts", "jobs"}`` listing, every job oldest
+        first; the counts tally the listed states.  Only the jobs changed
+        since the previous call are read and re-encoded."""
+        with self._listing_lock:
+            self._cursor, changed = self.store.changes(self._cursor)
+            if changed:
+                for document in changed:
+                    job_id, state = document["job_id"], document["state"]
+                    previous = self._jobs.get(job_id)
+                    if previous is not None:
+                        self._counts[previous[0]] -= 1
+                    self._counts[state] += 1
+                    self._jobs[job_id] = (state, _encode(document))
+                self._listing = (
+                    '{"counts": ' + _encode(self._counts) + ', "jobs": ['
+                    + ", ".join(encoded for _, encoded in self._jobs.values())
+                    + "]}")
+            return 200, self._listing + "\n"
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         """Liveness; ``workers`` counts the live workers only, so a dying
@@ -157,6 +195,11 @@ class ServiceState:
         return 200, body
 
 
+def _encode(body: Any) -> str:
+    """The wire form of a JSON reply: compact, keys sorted."""
+    return json.dumps(body, sort_keys=True)
+
+
 def _merged(counters: Iterable[Dict[str, int]]) -> Dict[str, int]:
     """Sum counter mappings, keys sorted."""
     merged: Dict[str, int] = {}
@@ -171,6 +214,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # A reply is two writes (headers, body): with Nagle's algorithm the
+    # second waits for the client's delayed ACK of the first, ~40 ms on a
+    # kept-alive connection.
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> ServiceState:
@@ -209,13 +256,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # -- plumbing -----------------------------------------------------------------
     def _read_json(self) -> Tuple[Any, Optional[str]]:
+        # A body left unread would be parsed as the connection's next
+        # request, so every refusal before the read closes the connection.
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            self.close_connection = True
             return None, "invalid Content-Length"
         if length <= 0:
+            self.close_connection = True
             return None, "a JSON body is required"
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             return None, f"body exceeds {MAX_BODY_BYTES} bytes"
         raw = self.rfile.read(length)
         try:
@@ -226,12 +278,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _reply(self, status: int, body: Any) -> None:
         # Results are stored pre-rendered; serving the text unchanged is
         # what keeps fetched bytes identical to ``repro run --output json``.
-        text = body if isinstance(body, str) \
-            else json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = body if isinstance(body, str) else _encode(body) + "\n"
         data = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

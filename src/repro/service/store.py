@@ -19,22 +19,36 @@ topology.  The store keeps:
   after every job — the only way they leave a worker process.
 
 Durability choices: WAL journal mode (readers never block the single
-writer), a generous busy timeout instead of hand-rolled retry loops, and a
-fresh connection per operation, so no connection is ever open across a
-``fork`` and the store is safe to share across threads without
-connection pooling.
+writer) and a generous busy timeout instead of hand-rolled retry loops.
+
+Connections are kept open: each process pools its own, and a thread holds
+one for the length of one operation, so two threads never share one
+while they transact.  The pool is keyed by process id, so a forked child
+opens its own and never touches what it inherited.  Even so, no
+connection may be open across a ``fork`` — SQLite shares per-inode lock
+state inside a process — so a forking caller calls :meth:`JobStore.close`
+first; closing the last connection to the file also checkpoints the WAL.
+A connection that raised :class:`sqlite3.Error` is dropped, not reused.
+
+Every job mutation stamps the row's ``changed`` column with one more than
+the largest stamp so far, inside its ``BEGIN IMMEDIATE`` transaction
+(heartbeats do not), so :meth:`JobStore.changes` can return just the jobs
+changed since a cursor: a poller's cost follows the changes, not the
+number of jobs ever submitted.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import threading
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Union)
+                    Optional, Tuple, Union)
 
 from repro.service.jobs import JobState
 
@@ -54,7 +68,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     heartbeat_unix_s REAL,
     error TEXT,
     cache_key TEXT,
-    result TEXT
+    result TEXT,
+    changed INTEGER
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, seq);
 CREATE TABLE IF NOT EXISTS workers (
@@ -73,20 +88,25 @@ _COLUMNS = ("job_id", "seq", "spec", "state", "attempts", "max_attempts",
 
 
 #: Keys of a job's status document (:meth:`JobRecord.to_status`), in the
-#: column order of :data:`_STATUS_QUERY`.
+#: column order of :data:`_CHANGES_QUERY`.
 _STATUS_KEYS = ("job_id", "state", "kind", "name", "attempts",
                 "max_attempts", "worker", "error", "cache_key")
 
-#: Every job's status document, oldest first.  ``kind`` and ``name`` are
-#: read out of the stored spec by sqlite, so a listing decodes no spec.
-_STATUS_QUERY = """
+#: The status documents of the jobs changed after a cursor, oldest
+#: first.  ``kind`` and ``name`` are read out of the stored spec by
+#: sqlite, so a listing decodes no spec.
+_CHANGES_QUERY = """
 SELECT job_id, state, json_extract(spec, '$.kind'),
        CASE WHEN json_extract(spec, '$.kind') = 'sweep'
             THEN json_extract(spec, '$.sweep')
             ELSE json_extract(spec, '$.experiment') END,
        attempts, max_attempts, worker, error, cache_key
-FROM jobs ORDER BY seq
+FROM jobs WHERE changed > ? ORDER BY seq
 """
+
+#: The stamp a job mutation gives the rows it touches (see
+#: :meth:`JobStore.changes`); only meaningful inside a write transaction.
+_NEXT_CHANGE = "(SELECT COALESCE(MAX(changed), 0) + 1 FROM jobs)"
 
 
 @dataclass(frozen=True)
@@ -168,25 +188,78 @@ class JobStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.max_attempts = int(max_attempts)
         self._clock = clock
-        with self._connect() as connection:
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        self._idle: List[sqlite3.Connection] = []
+        self._inherited: List[sqlite3.Connection] = []
+        with self._connection() as connection:
             connection.executescript(_SCHEMA)
+        with self._transaction() as cursor:
+            _migrate(cursor)
 
     def _connect(self) -> sqlite3.Connection:
+        # Pooled connections move between threads, one at a time.
         connection = sqlite3.connect(self.path, timeout=30.0,
-                                     isolation_level=None)
+                                     isolation_level=None,
+                                     check_same_thread=False)
         connection.execute("PRAGMA journal_mode=WAL")
         connection.execute("PRAGMA synchronous=NORMAL")
         return connection
 
     @contextmanager
-    def _transaction(self) -> Iterator[sqlite3.Cursor]:
-        """One ``BEGIN IMMEDIATE`` write transaction (atomic, exclusive)."""
-        with closing(self._connect()) as connection:
-            connection.execute("BEGIN IMMEDIATE")
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """A pooled connection of this process, held by this thread alone
+        until the block ends; dropped if the block raised a sqlite
+        error."""
+        with self._lock:
+            self._own_pool()
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._connect()
+        try:
+            yield connection
+        except sqlite3.Error:
+            connection.close()
+            connection = None
+            raise
+        finally:
+            if connection is not None:
+                with self._lock:
+                    self._own_pool()
+                    self._idle.append(connection)
+
+    def _own_pool(self) -> None:
+        """Start an empty pool in a forked child (caller holds the lock).
+        What the child inherited belongs to the parent: closing it here
+        could release locks this process's own connections hold, so it
+        is kept, unused."""
+        if self._pid != os.getpid():
+            self._inherited.extend(self._idle)
+            self._idle = []
+            self._pid = os.getpid()
+
+    def close(self) -> None:
+        """Close this process's idle connections — before a fork, with no
+        operation in flight.  The store stays usable: the next operation
+        connects again."""
+        with self._lock:
+            self._own_pool()
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    @contextmanager
+    def _transaction(self, mode: str = "IMMEDIATE"
+                     ) -> Iterator[sqlite3.Cursor]:
+        """One transaction: ``IMMEDIATE`` (the default) for an atomic,
+        exclusive write, ``DEFERRED`` for a consistent read snapshot."""
+        with self._connection() as connection:
+            connection.execute(f"BEGIN {mode}")
             try:
                 yield connection.cursor()
             except BaseException:
-                connection.execute("ROLLBACK")
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK")
                 raise
             connection.execute("COMMIT")
 
@@ -213,8 +286,8 @@ class JobStore:
                 seq = cursor.fetchone()[0]
                 cursor.execute(
                     "INSERT INTO jobs (job_id, seq, spec, state, attempts, "
-                    "max_attempts, submitted_unix_s, cache_key) "
-                    "VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
+                    "max_attempts, submitted_unix_s, cache_key, changed) "
+                    f"VALUES (?, ?, ?, ?, 0, ?, ?, ?, {_NEXT_CHANGE})",
                     (job_id, seq, json.dumps(spec_payload, sort_keys=True),
                      JobState.QUEUED,
                      self.max_attempts if max_attempts is None
@@ -226,7 +299,8 @@ class JobStore:
             if state in (JobState.FAILED, JobState.CANCELLED):
                 cursor.execute(
                     "UPDATE jobs SET state = ?, attempts = 0, error = NULL, "
-                    "worker = NULL, submitted_unix_s = ? WHERE job_id = ?",
+                    "worker = NULL, submitted_unix_s = ?, "
+                    f"changed = {_NEXT_CHANGE} WHERE job_id = ?",
                     (JobState.QUEUED, now, job_id))
                 return {"job_id": job_id, "state": JobState.QUEUED,
                         "created": False, "requeued": True}
@@ -254,8 +328,8 @@ class JobStore:
             job_id = row[0]
             cursor.execute(
                 "UPDATE jobs SET state = ?, worker = ?, "
-                "heartbeat_unix_s = ?, attempts = attempts + 1 "
-                "WHERE job_id = ? AND state = ?",
+                "heartbeat_unix_s = ?, attempts = attempts + 1, "
+                f"changed = {_NEXT_CHANGE} WHERE job_id = ? AND state = ?",
                 (JobState.RUNNING, worker, now, job_id, JobState.QUEUED))
             if cursor.rowcount != 1:  # pragma: no cover - defended by the
                 return None           # IMMEDIATE transaction
@@ -294,7 +368,8 @@ class JobStore:
         with self._transaction() as cursor:
             cursor.execute(
                 "UPDATE jobs SET state = ?, result = ?, cache_key = "
-                "COALESCE(?, cache_key), error = NULL "
+                "COALESCE(?, cache_key), error = NULL, "
+                f"changed = {_NEXT_CHANGE} "
                 "WHERE job_id = ? AND worker = ? AND state = ?",
                 (JobState.DONE, result_text, cache_key, job_id, worker,
                  JobState.RUNNING))
@@ -323,8 +398,8 @@ class JobStore:
             new_state = (JobState.FAILED if attempts >= max_attempts
                          else JobState.QUEUED)
             cursor.execute(
-                "UPDATE jobs SET state = ?, error = ?, worker = NULL "
-                "WHERE job_id = ?",
+                "UPDATE jobs SET state = ?, error = ?, worker = NULL, "
+                f"changed = {_NEXT_CHANGE} WHERE job_id = ?",
                 (new_state, error, job_id))
             return new_state
 
@@ -400,7 +475,7 @@ class JobStore:
         if supervisor is not None:
             query += " WHERE supervisor = ?"
             args = (supervisor,)
-        with closing(self._connect()) as connection:
+        with self._connection() as connection:
             rows = connection.execute(query + " ORDER BY worker_id",
                                       args).fetchall()
         return [WorkerRecord(worker_id=worker_id, supervisor=owner, pid=pid,
@@ -414,27 +489,26 @@ class JobStore:
         """Cancel a queued job (running/terminal jobs are left alone)."""
         with self._transaction() as cursor:
             cursor.execute(
-                "UPDATE jobs SET state = ? WHERE job_id = ? AND state = ?",
+                f"UPDATE jobs SET state = ?, changed = {_NEXT_CHANGE} "
+                "WHERE job_id = ? AND state = ?",
                 (JobState.CANCELLED, job_id, JobState.QUEUED))
             return cursor.rowcount == 1
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         """One job's record, or ``None`` for an unknown id."""
-        with closing(self._connect()) as connection:
-            cursor = connection.execute(
+        with self._connection() as connection:
+            row = connection.execute(
                 f"SELECT {', '.join(_COLUMNS)} FROM jobs WHERE job_id = ?",
-                (job_id,))
-            row = cursor.fetchone()
-            return None if row is None else _record(row)
+                (job_id,)).fetchone()
+        return None if row is None else _record(row)
 
     def result_text(self, job_id: str) -> Optional[str]:
         """The stored result text of a done job (``None`` otherwise)."""
-        with closing(self._connect()) as connection:
-            cursor = connection.execute(
+        with self._connection() as connection:
+            row = connection.execute(
                 "SELECT result FROM jobs WHERE job_id = ? AND state = ?",
-                (job_id, JobState.DONE))
-            row = cursor.fetchone()
-            return None if row is None else row[0]
+                (job_id, JobState.DONE)).fetchone()
+        return None if row is None else row[0]
 
     def jobs(self, state: Optional[str] = None) -> List[JobRecord]:
         """Every job record (optionally filtered by state), oldest first."""
@@ -444,20 +518,34 @@ class JobStore:
             query += " WHERE state = ?"
             args = (state,)
         query += " ORDER BY seq"
-        with closing(self._connect()) as connection:
-            return [_record(row)
-                    for row in connection.execute(query, args).fetchall()]
+        with self._connection() as connection:
+            rows = connection.execute(query, args).fetchall()
+        return [_record(row) for row in rows]
+
+    def changes(self, since: int = 0
+                ) -> Tuple[int, List[Dict[str, Any]]]:
+        """The jobs changed after cursor ``since``: ``(cursor, status
+        documents)``, oldest job first, read in one snapshot.
+
+        Pass the returned cursor back to get only later changes; ``0``
+        lists every job.  A job created after a cursor is younger than
+        every job listed before it, so appending new jobs to an earlier
+        listing keeps it oldest first.
+        """
+        with self._transaction("DEFERRED") as cursor:
+            latest = cursor.execute(
+                "SELECT COALESCE(MAX(changed), 0) FROM jobs").fetchone()[0]
+            rows = cursor.execute(_CHANGES_QUERY, (since,)).fetchall()
+        return latest, [dict(zip(_STATUS_KEYS, row)) for row in rows]
 
     def statuses(self) -> List[Dict[str, Any]]:
         """Every job's :meth:`JobRecord.to_status` document, oldest first,
-        built in SQL (the ``GET /v1/jobs`` listing)."""
-        with closing(self._connect()) as connection:
-            rows = connection.execute(_STATUS_QUERY).fetchall()
-        return [dict(zip(_STATUS_KEYS, row)) for row in rows]
+        built in SQL."""
+        return self.changes(0)[1]
 
     def counts(self) -> Dict[str, int]:
         """Job counts per lifecycle state (zero-filled, stable order)."""
-        with closing(self._connect()) as connection:
+        with self._connection() as connection:
             rows = connection.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state").fetchall()
         counts = {state: 0 for state in JobState.ALL}
@@ -466,6 +554,17 @@ class JobStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"JobStore(path={str(self.path)!r})"
+
+
+def _migrate(cursor: sqlite3.Cursor) -> None:
+    """Bring a store written before the ``changed`` column up to date
+    (stamping each job with its ``seq``); a no-op on a current store."""
+    columns = {row[1] for row in cursor.execute("PRAGMA table_info(jobs)")}
+    if "changed" not in columns:
+        cursor.execute("ALTER TABLE jobs ADD COLUMN changed INTEGER")
+        cursor.execute("UPDATE jobs SET changed = seq")
+    cursor.execute("CREATE INDEX IF NOT EXISTS jobs_by_change "
+                   "ON jobs (changed)")
 
 
 def _requeue_lost(cursor: sqlite3.Cursor, where: str,
@@ -481,8 +580,8 @@ def _requeue_lost(cursor: sqlite3.Cursor, where: str,
                  else JobState.QUEUED)
         cursor.execute(
             "UPDATE jobs SET state = ?, worker = NULL, "
-            "error = COALESCE(error, 'worker lost') "
-            "WHERE job_id = ? AND state = ?",
+            "error = COALESCE(error, 'worker lost'), "
+            f"changed = {_NEXT_CHANGE} WHERE job_id = ? AND state = ?",
             (state, job_id, JobState.RUNNING))
         outcome["requeued" if state == JobState.QUEUED
                 else "failed"] += cursor.rowcount

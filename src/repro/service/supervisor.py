@@ -20,6 +20,10 @@ Afterwards it only supervises:
   dies on start cannot spin;
 * it heartbeats the claims its live workers hold, so peer ``serve``
   processes never requeue them as stale;
+* it owns the workers' wake-up pipe, created before the first fork: the
+  frontend writes a byte to it whenever a submission leaves a job
+  queued (the supervisor does when it requeues a dead worker's claim),
+  and idle workers wait on it instead of sleeping between polls;
 * on SIGTERM or SIGINT it forwards a graceful drain (SIGTERM) to every
   child — the frontend stops serving, each worker finishes the job in
   hand — waits for them and returns 0.  A second signal kills the
@@ -27,7 +31,9 @@ Afterwards it only supervises:
 
 Every fork happens in the supervisor, which never starts a thread: forking
 a multi-threaded process can deadlock the child, and Python 3.12 warns
-about it.  :func:`check_single_threaded` enforces this before each fork.
+about it.  :func:`check_single_threaded` enforces this before each fork,
+and the store's connections are closed before it, so no sqlite connection
+crosses a fork.
 Children leave through :func:`os._exit`, never returning into the
 caller's stack, and exit on their own when the supervisor disappears.
 """
@@ -97,6 +103,10 @@ class _Signals:
         #: Every signal received so far.
         self.received: Set[int] = set()
 
+    def fileno(self) -> int:
+        """The fd that becomes readable when a signal arrives."""
+        return self._read
+
     def wait(self, timeout_s: float) -> Set[int]:
         """Block up to ``timeout_s`` for a signal; return the signals
         received in this call."""
@@ -151,6 +161,8 @@ class Supervisor:
         self._signals: Optional[_Signals] = None
         self._children: Dict[int, _Child] = {}
         self._respawns: List[Tuple[float, Callable[[_Signals], int]]] = []
+        #: The workers' wake-up pipe (read fd, write fd) while running.
+        self._wake: Optional[Tuple[int, int]] = None
 
     # -- the supervisor -----------------------------------------------------------
     def run(self, server: ServiceServer) -> int:
@@ -163,6 +175,9 @@ class Supervisor:
         """
         self._server = server
         self._signals = _Signals(_WATCHED)
+        self._wake = os.pipe()
+        for fd in self._wake:
+            os.set_blocking(fd, False)
         try:
             self._spawn(self._frontend_main)
             preload()
@@ -171,8 +186,20 @@ class Supervisor:
             self._supervise()
         finally:
             self._signals.close()
+            for fd in self._wake:
+                os.close(fd)
+            self._wake = None
             server.server_close()
+            self.store.close()
         return 0
+
+    def _wake_workers(self) -> None:
+        """Ring the wake-up pipe (from any process of the tree).  A full
+        pipe is already readable, so that write is dropped."""
+        try:
+            os.write(self._wake[1], b"\0")
+        except BlockingIOError:
+            pass
 
     def _supervise(self) -> None:
         draining = False
@@ -204,6 +231,7 @@ class Supervisor:
         """Fork one child running ``main``; signals stay blocked across
         the fork so none reaches the child before its own handlers."""
         check_single_threaded()
+        self.store.close()
         sys.stdout.flush()
         sys.stderr.flush()
         signal.pthread_sigmask(signal.SIG_BLOCK, _WATCHED)
@@ -231,6 +259,7 @@ class Supervisor:
             stop = _Signals((signal.SIGTERM,))
             signal.pthread_sigmask(signal.SIG_UNBLOCK, _WATCHED)
             status = main(stop)
+            self.store.close()
         except Exception:
             logger.exception("service child %d crashed", os.getpid())
         finally:
@@ -256,6 +285,8 @@ class Supervisor:
                     logger.exception("cannot retire worker %s",
                                      child.worker_id)
                     released = {}
+                if released.get("requeued"):
+                    self._wake_workers()
                 if lost:
                     logger.warning(
                         "worker %s died (exit status %d); released its "
@@ -286,6 +317,7 @@ class Supervisor:
         """Serve HTTP until SIGTERM or until the supervisor is gone."""
         supervisor = os.getppid()
         server = self._server
+        server.state.on_queued = self._wake_workers
         threading.Thread(target=server.serve_forever, name="service-http",
                          daemon=True).start()
         while signal.SIGTERM not in stop.wait(ORPHAN_CHECK_S) \
@@ -310,5 +342,6 @@ class Supervisor:
             return (signal.SIGTERM in stop.received
                     or os.getppid() != supervisor)
 
-        worker.run_forever(stopping)
+        worker.run_forever(stopping, wake_fd=self._wake[0],
+                           stop_fd=stop.fileno())
         return 0

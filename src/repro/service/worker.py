@@ -24,6 +24,12 @@ counters (``lock.*``) are published to the store after every job — in the
 same transaction that marks the job done — which is how ``GET
 /v1/metrics`` reads them from another process.
 
+Waiting: an idle worker blocks in one ``select`` on its wake-up fd (the
+supervisor's pipe, which the frontend writes a byte to whenever a
+submission leaves a job queued) and its stop fd, for at most
+``poll_interval_s``; then it drains the wake-up pipe and claims again.
+The timeout still picks up jobs that peer ``serve`` processes queue.
+
 Liveness: the supervisor heartbeats the claims of the workers it sees
 alive, and requeues a dead worker's claim as soon as it reaps it.  Every
 idle loop still requeues stale claims of peer ``serve`` processes whose
@@ -36,8 +42,8 @@ from __future__ import annotations
 
 import logging
 import os
+import select
 import socket
-import time
 import traceback
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple
@@ -64,6 +70,15 @@ def worker_identity(pid: Optional[int] = None) -> str:
     return f"{socket.gethostname()}:{os.getpid() if pid is None else pid}"
 
 
+def _drain(fd: int) -> None:
+    """Read a non-blocking pipe empty."""
+    try:
+        while os.read(fd, 4096):
+            pass
+    except BlockingIOError:
+        pass
+
+
 class Worker:
     """One claim-execute-finish loop over a :class:`JobStore`.
 
@@ -78,8 +93,8 @@ class Worker:
     worker_id:
         Identity recorded on claims; defaults to :func:`worker_identity`.
     poll_interval_s / stale_after_s:
-        Idle poll cadence, and the staleness bound after which a silent
-        claim of a peer process is requeued.
+        Longest idle wait between two claim attempts, and the staleness
+        bound after which a silent claim of a peer process is requeued.
     """
 
     def __init__(self, store: JobStore, session: Session,
@@ -94,9 +109,17 @@ class Worker:
         self.tracer = Tracer(name=f"worker:{self.worker_id}")
 
     # -- the loop -----------------------------------------------------------------
-    def run_forever(self, stop: Callable[[], bool]) -> None:
+    def run_forever(self, stop: Callable[[], bool], *,
+                    wake_fd: Optional[int] = None,
+                    stop_fd: Optional[int] = None) -> None:
         """Drain the store until ``stop()`` is true (graceful: the job in
-        hand always completes; only *claiming* stops)."""
+        hand always completes; only *claiming* stops).
+
+        With the queue empty the worker waits up to ``poll_interval_s``
+        for ``wake_fd`` (a non-blocking pipe, drained here) or ``stop_fd``
+        (left to ``stop``) to become readable.
+        """
+        waits = [fd for fd in (wake_fd, stop_fd) if fd is not None]
         while not stop():
             record = self.store.claim(self.worker_id)
             if record is None:
@@ -107,7 +130,10 @@ class Worker:
                                       + recovered["failed"])
                     self._publish()
                     continue
-                time.sleep(self.poll_interval_s)
+                readable, _, _ = select.select(waits, [], [],
+                                               self.poll_interval_s)
+                if wake_fd in readable:
+                    _drain(wake_fd)
                 continue
             self.execute(record)
 

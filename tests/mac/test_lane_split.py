@@ -241,11 +241,14 @@ class TestProcessesThatDoNotSplit:
             socket = Socket()
 
         class Worker:
-            def run_forever(self, stopping):
+            def run_forever(self, stopping, *, wake_fd, stop_fd):
                 seen.append(report_chunking(None))
 
         class Stop:
             received = set()
+
+            def fileno(self):
+                return -1
 
             def wait(self, timeout_s):
                 return set()
@@ -256,5 +259,6 @@ class TestProcessesThatDoNotSplit:
         monkeypatch.setattr(cpus, "_share", 1)
         supervisor = Supervisor(store=None, make_worker=Worker, workers=3)
         supervisor._server = Server()
+        supervisor._wake = (-1, -1)
         assert supervisor._worker_main(Stop()) == 0
         assert seen == [(3, 1)]

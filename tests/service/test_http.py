@@ -45,6 +45,7 @@ def service(tmp_path):
     try:
         yield client
     finally:
+        client.close()
         stop.set()
         for worker_thread in threads:
             worker_thread.join(timeout=30)
@@ -65,6 +66,7 @@ def frontend(tmp_path):
     try:
         yield client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
 
@@ -189,6 +191,31 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=10)
         assert caught.value.code == 400
+
+    def test_a_body_left_unread_closes_the_connection(self, frontend):
+        """A refusal before the body is read must not leave the body to
+        be parsed as the connection's next request."""
+        import http.client
+        connection = http.client.HTTPConnection(
+            frontend.base_url.split("//", 1)[1], timeout=10)
+        try:
+            connection.request("POST", "/v1/jobs", body=b'{"kind": "run"}',
+                               headers={"Content-Length": "many"})
+            reply = connection.getresponse()
+            assert reply.status == 400
+            assert reply.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(reply.read())["error"]
+        finally:
+            connection.close()
+        assert frontend.health()["status"] == "ok"
+
+    def test_requests_share_one_kept_connection(self, frontend):
+        frontend.health()
+        sock = frontend._local.connection.sock
+        receipt = frontend.submit(RUN_PAYLOAD)
+        frontend.status(receipt["job_id"])
+        frontend.jobs()
+        assert frontend._local.connection.sock is sock
 
     def test_result_before_done_is_409(self, frontend):
         receipt = frontend.submit(RUN_PAYLOAD)  # no workers: stays queued

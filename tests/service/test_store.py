@@ -3,6 +3,7 @@ the worker registry."""
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -349,3 +350,233 @@ class TestWorkerRegistry:
                             backend_counters={"lock.acquired": 1}) is True
         [worker] = store.workers()
         assert worker.counters == {"service.jobs.done": 1}
+
+
+class TestChanges:
+    def test_a_cursor_returns_only_later_changes(self, store):
+        _submit(store, "a")
+        _submit(store, "b")
+        cursor, documents = store.changes(0)
+        assert [document["job_id"] for document in documents] == ["a", "b"]
+        assert store.changes(cursor) == (cursor, [])
+        store.claim("w1")
+        later, documents = store.changes(cursor)
+        assert later > cursor
+        assert [(document["job_id"], document["state"])
+                for document in documents] == [("a", JobState.RUNNING)]
+
+    def test_heartbeats_and_live_duplicates_change_nothing(self, store):
+        _submit(store, "a")
+        store.claim("w1")
+        cursor, _ = store.changes(0)
+        assert store.heartbeat(["w1"]) == 1
+        assert _submit(store, "a")["created"] is False
+        assert store.changes(cursor) == (cursor, [])
+
+    def test_statuses_are_the_changes_since_zero(self, store):
+        _submit(store, "a")
+        store.submit("b", {"kind": "sweep", "sweep": "node_density"})
+        assert store.statuses() == store.changes(0)[1]
+
+
+#: The schema of a store written before the ``changed`` column.
+_OLD_SCHEMA = """
+CREATE TABLE IF NOT EXISTS jobs (
+    job_id TEXT PRIMARY KEY,
+    seq INTEGER,
+    spec TEXT NOT NULL,
+    state TEXT NOT NULL,
+    attempts INTEGER NOT NULL DEFAULT 0,
+    max_attempts INTEGER NOT NULL,
+    worker TEXT,
+    submitted_unix_s REAL NOT NULL,
+    heartbeat_unix_s REAL,
+    error TEXT,
+    cache_key TEXT,
+    result TEXT
+);
+CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, seq);
+CREATE TABLE IF NOT EXISTS workers (
+    worker_id TEXT PRIMARY KEY,
+    supervisor TEXT,
+    pid INTEGER,
+    exited_unix_s REAL,
+    counters TEXT NOT NULL DEFAULT '{}',
+    backend_counters TEXT NOT NULL DEFAULT '{}'
+);
+"""
+
+
+class TestMigration:
+    @pytest.fixture()
+    def old_store(self, tmp_path):
+        """A store file with the old schema, one job in every state."""
+        path = tmp_path / "old.sqlite"
+        rows = [("queued", JobState.QUEUED, 0, None, None),
+                ("running", JobState.RUNNING, 1, "w-old", None),
+                ("done", JobState.DONE, 1, None, '{"rows": []}'),
+                ("failed", JobState.FAILED, 3, None, None),
+                ("cancelled", JobState.CANCELLED, 0, None, None)]
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.executescript(_OLD_SCHEMA)
+            for seq, (job_id, state, attempts, worker, result) in \
+                    enumerate(rows, start=1):
+                connection.execute(
+                    "INSERT INTO jobs (job_id, seq, spec, state, attempts, "
+                    "max_attempts, worker, submitted_unix_s, "
+                    "heartbeat_unix_s, result) "
+                    "VALUES (?, ?, ?, ?, ?, 3, ?, 1000.0, 1000.0, ?)",
+                    (job_id, seq, json.dumps(JOB), state, attempts, worker,
+                     result))
+        connection.close()
+        return path
+
+    def test_old_jobs_are_listed_claimed_and_finished(self, old_store):
+        store = JobStore(old_store)
+        assert [(status["job_id"], status["state"])
+                for status in store.statuses()] == [
+            ("queued", JobState.QUEUED), ("running", JobState.RUNNING),
+            ("done", JobState.DONE), ("failed", JobState.FAILED),
+            ("cancelled", JobState.CANCELLED)]
+        assert store.result_text("done") == '{"rows": []}'
+        cursor, _ = store.changes(0)
+        assert store.claim("w1").job_id == "queued"
+        assert store.finish("queued", "w1", result_text="new") is True
+        assert store.finish("running", "w-old", result_text="old") is True
+        later, documents = store.changes(cursor)
+        assert [document["job_id"] for document in documents] == [
+            "queued", "running"]
+        assert store.submit("failed", dict(JOB))["requeued"] is True
+        assert store.changes(later)[1][0]["job_id"] == "failed"
+        assert store.counts()[JobState.DONE] == 3
+
+    def test_a_second_open_changes_nothing(self, old_store):
+        JobStore(old_store)
+
+        def snapshot():
+            connection = sqlite3.connect(old_store)
+            try:
+                return (connection.execute(
+                            "SELECT sql FROM sqlite_master ORDER BY name"
+                        ).fetchall(),
+                        connection.execute(
+                            "SELECT job_id, seq, changed FROM jobs "
+                            "ORDER BY seq").fetchall())
+            finally:
+                connection.close()
+
+        before = snapshot()
+        assert [changed for _, seq, changed in before[1]] == [
+            seq for _, seq, _ in before[1]]
+        JobStore(old_store).close()
+        assert snapshot() == before
+
+
+class TestConnections:
+    def test_concurrent_threads_never_share_a_connection(self, store):
+        _submit(store)
+        barrier = threading.Barrier(2, timeout=10)
+        held = []
+
+        def hold():
+            with store._connection() as connection:
+                held.append(connection)
+                barrier.wait()
+                connection.execute("SELECT COUNT(*) FROM jobs").fetchone()
+                barrier.wait()
+
+        threads = [threading.Thread(target=hold) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(held) == 2 and held[0] is not held[1]
+
+    def test_transactions_from_many_threads_stay_atomic(self, store):
+        """More threads than cores, switching often: each submits, claims
+        and finishes its own jobs while reading listings.  A connection
+        shared by two threads mid-transaction would raise or lose
+        updates."""
+        threads_n, jobs_n = 8, 12
+        errors = []
+
+        def churn(index):
+            try:
+                for job in range(jobs_n):
+                    job_id = f"t{index}-{job}"
+                    store.submit(job_id, dict(JOB))
+                    record = store.claim(f"w{index}")
+                    assert record is not None
+                    assert store.finish(record.job_id, f"w{index}",
+                                        result_text="{}") is True
+                    store.changes(0)
+            except Exception as error:  # pragma: no cover - diagnostics
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(index,))
+                       for index in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert store.counts()[JobState.DONE] == threads_n * jobs_n
+        assert all(record.attempts == 1 for record in store.jobs())
+
+    def test_a_connection_that_raised_is_not_reused(self, store):
+        with pytest.raises(sqlite3.OperationalError):
+            with store._connection() as connection:
+                broken = connection
+                connection.execute("SELECT * FROM no_such_table")
+        with store._connection() as connection:
+            assert connection is not broken
+        _submit(store)
+        assert store.counts()[JobState.QUEUED] == 1
+
+    def test_the_store_works_after_close(self, store):
+        _submit(store, "a")
+        store.close()
+        _submit(store, "b")
+        assert [record.job_id for record in store.jobs()] == ["a", "b"]
+
+    def test_a_forked_child_opens_its_own_connection(self, tmp_path):
+        completed = subprocess.run(
+            [sys.executable, "-c", FORKED_CHILD,
+             str(tmp_path / "jobs.sqlite")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == {
+            "child": 0, "parent": ["mine", "child's"], "done": 1}
+
+
+#: Uses a store, forks while its connection is pooled, and lets the child
+#: use the same ``JobStore`` object; prints what both sides then see.
+FORKED_CHILD = """
+import json, os, sys
+from repro.service import JobStore
+store = JobStore(sys.argv[1])
+store.submit("mine", {"kind": "run", "experiment": "fig3_radio"})
+pid = os.fork()
+if pid == 0:
+    status = 1
+    try:
+        store.submit("child's", {"kind": "run", "experiment": "fig3_radio"})
+        record = store.claim("child")
+        if store.finish(record.job_id, "child", result_text="{}"):
+            status = 0
+    finally:
+        os._exit(status)
+_, status = os.waitpid(pid, 0)
+print(json.dumps({"child": os.waitstatus_to_exitcode(status),
+                  "parent": [r.job_id for r in store.jobs()],
+                  "done": store.counts()["done"]}))
+"""

@@ -33,14 +33,18 @@ def job(seed, params):
 
 
 class Serve:
-    """One ``repro serve`` subprocess on a fresh cache and store."""
+    """One ``repro serve`` subprocess on a fresh cache and store;
+    ``prelude`` is Python run in it before the CLI."""
 
-    def __init__(self, tmp_path, workers):
+    def __init__(self, tmp_path, workers, port=0, prelude=None):
         self.cache = tmp_path / "cache"
         self.store_path = self.cache / "jobs.sqlite"
+        main = ["-m", "repro"] if prelude is None else [
+            "-c", prelude + "\nimport runpy\n"
+            "runpy.run_module('repro', run_name='__main__')"]
         self.process = subprocess.Popen(
-            [sys.executable, "-W", "error::DeprecationWarning", "-m",
-             "repro", "serve", "--port", "0", "--workers", str(workers),
+            [sys.executable, "-W", "error::DeprecationWarning", *main,
+             "serve", "--port", str(port), "--workers", str(workers),
              "--cache-dir", str(self.cache)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)))
@@ -78,6 +82,7 @@ class Serve:
 
     def stop(self, timeout_s=60.0):
         """SIGTERM; returns the exit status."""
+        self.client.close()
         if self.process.poll() is None:
             self.process.send_signal(signal.SIGTERM)
         try:
@@ -91,8 +96,8 @@ class Serve:
 def serve(tmp_path):
     started = []
 
-    def start(workers):
-        started.append(Serve(tmp_path, workers))
+    def start(workers, **options):
+        started.append(Serve(tmp_path, workers, **options))
         return started[-1]
 
     yield start
@@ -179,6 +184,78 @@ def test_children_exit_when_the_supervisor_is_killed(serve):
         assert time.monotonic() < deadline, "orphaned children survive"
         time.sleep(0.05)
     server.stop()
+
+
+#: Wraps ``os.fork`` in the supervisor process: every fork it makes must
+#: find no descriptor of the job store open, or it raises (and ``serve``
+#: then exits non-zero).  Each checked fork prints one stderr line.
+NO_STORE_AT_FORK = """
+import os, sys
+_fork, _supervisor = os.fork, os.getpid()
+
+def _checked_fork():
+    if os.getpid() == _supervisor:
+        store = [target for target in (
+            os.readlink(f"/proc/self/fd/{fd}")
+            for fd in os.listdir("/proc/self/fd")
+            if os.path.exists(f"/proc/self/fd/{fd}"))
+            if "jobs.sqlite" in target]
+        if store:
+            raise AssertionError(f"fork with the store open: {store}")
+        print("fork checked", file=sys.stderr, flush=True)
+    return _fork()
+
+os.fork = _checked_fork
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_no_store_connection_is_open_across_a_fork(serve):
+    server = serve(workers=2, prelude=NO_STORE_AT_FORK)
+    client = server.client
+    server.wait_for(lambda: len(server.live_pids()) == 2)
+    receipt = client.submit(job(9, QUICK_PARAMS))
+    assert client.wait(receipt["job_id"], timeout_s=120,
+                       poll_interval_s=0.02)["state"] == JobState.DONE
+    # A respawn forks after the supervisor used the store to retire the
+    # dead worker and register the others.
+    victim = sorted(server.live_pids())[0]
+    os.kill(victim, signal.SIGKILL)
+    server.wait_for(lambda: len(server.live_pids()) == 2
+                    and victim not in server.live_pids())
+    server.process.send_signal(signal.SIGTERM)
+    assert server.process.wait(timeout=60) == 0, server._stderr()
+    # The frontend, two workers and the replacement.
+    assert server._stderr().count("fork checked") >= 4
+    server.stop()
+
+
+def test_the_client_recovers_when_the_frontend_restarts_on_its_port(
+        serve):
+    first = serve(workers=0)
+    client = ServiceClient(first.client.base_url)
+    try:
+        first.wait_for(lambda: _answers(client))
+        port = int(client.base_url.rsplit(":", 1)[1])
+        assert first.stop() == 0
+        second = serve(workers=0, port=port)
+        assert second.client.base_url == client.base_url
+        second.wait_for(lambda: _answers(second.client))
+        # The same client: its kept connection went with the first
+        # frontend, so it reconnects.
+        assert client.health()["status"] == "ok"
+        assert second.stop() == 0
+    finally:
+        client.close()
+
+
+def _answers(client):
+    try:
+        client.health()
+    except OSError:
+        return False
+    return True
 
 
 def _running(pid):

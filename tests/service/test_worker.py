@@ -286,3 +286,56 @@ class _SlowSession(_StubSessionBase):
     def run(self, name, *, seed=None, **params):
         time.sleep(self.delay_s)
         return _StubResult()
+
+
+class TestWaking:
+    """An idle worker waits on its wake-up and stop fds, not on a sleep:
+    both tests use a poll interval far longer than their deadlines."""
+
+    def test_a_byte_on_the_wake_pipe_starts_a_claim_at_once(self, store):
+        wake_read, wake_write = os.pipe()
+        os.set_blocking(wake_read, False)
+        worker = Worker(store, _SlowSession(delay_s=0.0), "w0",
+                        poll_interval_s=60)
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=worker.run_forever, args=(stop.is_set,),
+            kwargs={"wake_fd": wake_read}, daemon=True)
+        try:
+            thread.start()
+            time.sleep(0.2)  # the worker found the queue empty and waits
+            job = submit_run_stub(store, "woken")
+            os.write(wake_write, b"\0\0\0")
+            deadline = time.monotonic() + 10
+            while store.get(job).state != JobState.DONE:
+                assert time.monotonic() < deadline, "the worker slept on"
+                time.sleep(0.01)
+            time.sleep(0.05)
+            with pytest.raises(BlockingIOError):  # drained
+                os.read(wake_read, 1)
+        finally:
+            stop.set()
+            os.write(wake_write, b"\0")
+            thread.join(timeout=10)
+            os.close(wake_read)
+            os.close(wake_write)
+        assert not thread.is_alive()
+
+    def test_the_stop_fd_ends_an_idle_wait(self, store):
+        stop_read, stop_write = os.pipe()
+        worker = Worker(store, _SlowSession(delay_s=0.0), "w0",
+                        poll_interval_s=60)
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=worker.run_forever, args=(stop.is_set,),
+            kwargs={"stop_fd": stop_read}, daemon=True)
+        try:
+            thread.start()
+            time.sleep(0.2)
+            stop.set()
+            os.write(stop_write, b"\0")
+            thread.join(timeout=10)
+        finally:
+            os.close(stop_read)
+            os.close(stop_write)
+        assert not thread.is_alive()
